@@ -15,53 +15,61 @@ from dataclasses import dataclass
 import numpy as np
 
 from .env import processing_order
-from .qoe import Decision, DecisionEntry, fitted_pai, objective, step_latency_edge, step_latency_local, user_qoe
-from .scenario import Scenario
-from .split import optimal_split
+from .costmodel import CostModel
+from .qoe import ContractError, Decision, DecisionEntry
+from .scenario import Scenario, ValidationError
 
 
 class SplitTable:
-    """Lazy per-(user, grant count) cache of optimal splits and values."""
+    """Optimal splits and values for every user and grant count, filled once.
+
+    ``splits`` and ``values`` are (I, cap) grids whose column m - 1 holds a
+    round of m grants, for m = 1..cap with cap = min(I, b_max); ``deny``
+    holds each user's fully local value.
+    """
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self._granted: dict[tuple[int, int], tuple[int, float]] = {}
-        self._denied: dict[int, float] = {}
+        self.cap = min(scenario.user_count, scenario.edge.b_max)
+        model = CostModel.from_scenario(scenario)
+        self.deny = model.denied()
+        self.splits, self.values = model.optimal_splits(self.cap)
 
     def granted(self, user_idx: int, m: int) -> tuple[int, float]:
         """(optimal split, QoE) for user granted within a round of m grants."""
-        key = (user_idx, m)
-        if key not in self._granted:
-            res = optimal_split(self.scenario.users[user_idx], m,
-                                self.scenario.edge, self.scenario.pai)
-            self._granted[key] = (res.split, res.inner_value)
-        return self._granted[key]
+        self._check_count(m)
+        return int(self.splits[user_idx, m - 1]), float(self.values[user_idx, m - 1])
 
     def denied(self, user_idx: int) -> float:
-        if user_idx not in self._denied:
-            user = self.scenario.users[user_idx]
-            entry = DecisionEntry(granted=False, split=self.scenario.pai.n_total)
-            self._denied[user_idx] = user_qoe(user, entry, 0, self.scenario.edge,
-                                              self.scenario.pai)
-        return self._denied[user_idx]
+        return float(self.deny[user_idx])
+
+    def _check_count(self, m: int) -> None:
+        if not 1 <= m <= self.cap:
+            raise ContractError(f"grant count {m} outside [1, {self.cap}]")
+
+    def _per_user(self, grants) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(grant flags, splits, values) of every user under a grant vector."""
+        grants = np.asarray(grants, dtype=bool)
+        m = int(np.count_nonzero(grants))
+        n_total = self.scenario.pai.n_total
+        if m == 0:
+            return grants, np.full(grants.shape, n_total), self.deny
+        self._check_count(m)
+        return (grants, np.where(grants, self.splits[:, m - 1], n_total),
+                np.where(grants, self.values[:, m - 1], self.deny))
 
     def decision(self, grants) -> Decision:
-        m = int(sum(bool(g) for g in grants))
-        entries = []
-        for i, g in enumerate(grants):
-            if g:
-                split, _ = self.granted(i, m)
-                entries.append(DecisionEntry(granted=True, split=split))
-            else:
-                entries.append(DecisionEntry(granted=False, split=self.scenario.pai.n_total))
-        return Decision(entries=entries)
+        grants, splits, _ = self._per_user(grants)
+        return Decision(entries=[DecisionEntry(granted=g, split=n)
+                                 for g, n in zip(grants.tolist(), splits.tolist())])
 
     def value(self, grants) -> float:
-        m = int(sum(bool(g) for g in grants))
-        total = 0.0
-        for i, g in enumerate(grants):
-            total += self.granted(i, m)[1] if g else self.denied(i)
-        return total
+        return _sequential_sum(self._per_user(grants)[2])
+
+
+def _sequential_sum(values: np.ndarray) -> float:
+    """Left-to-right sum in user order, as a Python loop adds; np.sum adds pairwise."""
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
 
 
 def _first_in_request_order(scenario: Scenario, count: int) -> set[int]:
@@ -138,6 +146,8 @@ def solve_ga(scenario: Scenario, cfg: GaConfig | None = None,
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(cfg.seed if rng is None else rng)
     n = scenario.user_count
+    if n == 0:
+        return baseline_all_local(scenario)
     cap = min(n, scenario.edge.b_max)
     mutation = cfg.mutation_rate if cfg.mutation_rate is not None else 1.0 / n
     table = SplitTable(scenario)
@@ -194,24 +204,12 @@ class BnbStats:
 
 def _fixed_split_tables(scenario: Scenario, split: int):
     """Per-user deny values and granted values indexed by grant count."""
-    edge, pai = scenario.edge, scenario.pai
-    cap = min(scenario.user_count, edge.b_max)
-    f_grant = fitted_pai(split, pai)
-    f_deny = fitted_pai(pai.n_total, pai)
-    deny = np.empty(scenario.user_count)
+    cap = min(scenario.user_count, scenario.edge.b_max)
+    model = CostModel.from_scenario(scenario)
     grant = np.empty((scenario.user_count, cap + 1))  # column m unused for m=0
     grant[:, 0] = -np.inf
-    for i, user in enumerate(scenario.users):
-        rtt = (edge.slots_per_interval - user.request_slot) * edge.slot_duration
-        local_step = step_latency_local(user.device)
-        deny[i] = user.alpha * f_deny - rtt - pai.n_total * local_step
-        for m in range(1, cap + 1):
-            transfer = (user.prompt_bits + user.intermediate_bits) * m / (
-                edge.spectral_efficiency * edge.bandwidth_hz)
-            edge_c = (pai.n_total - split) * step_latency_edge(edge.device, m, edge.gpus)
-            grant[i, m] = (user.alpha * f_grant - rtt - transfer - edge_c
-                           - split * local_step)
-    return deny, grant, cap
+    grant[:, 1:] = model.granted(split, np.arange(1, cap + 1))
+    return model.denied(), grant, cap
 
 
 def solve_bnb(scenario: Scenario, stats: BnbStats | None = None) -> Decision:
@@ -224,7 +222,7 @@ def solve_bnb(scenario: Scenario, stats: BnbStats | None = None) -> Decision:
     """
     stats = stats if stats is not None else BnbStats()
     n = scenario.user_count
-    order = processing_order(scenario)
+    order = np.asarray(processing_order(scenario), dtype=np.intp)
     deny, grant, cap = _fixed_split_tables(scenario, scenario.pai.n_min)
     d = deny[order]
     g = grant[order]
@@ -275,7 +273,7 @@ def solve_bnb(scenario: Scenario, stats: BnbStats | None = None) -> Decision:
     stats.incumbent = best_value
     assert best_grants is not None
     grants = np.zeros(n, dtype=bool)
-    grants[np.asarray(order)] = best_grants  # map back to user-id order
+    grants[order] = best_grants  # map back to user-id order
     n_min, n_total = scenario.pai.n_min, scenario.pai.n_total
     entries = [DecisionEntry(granted=bool(x), split=n_min if x else n_total)
                for x in grants]
@@ -301,23 +299,26 @@ def solve_count_oracle(scenario: Scenario) -> Decision:
 
     For each candidate m, every user's gain from being granted (at optimal
     split, in a round of m) over being denied is independent of who else is
-    granted, so the best set of exactly m grants is the top-m gains.
+    granted, so the best set of exactly m grants is the top-m gains: one
+    stable descending sort per column of the gain grid (ties go to the
+    lower user index) and a cumulative sum give every m's value at once.
     """
-    n = scenario.user_count
-    cap = min(n, scenario.edge.b_max)
     table = SplitTable(scenario)
-    deny_total = sum(table.denied(i) for i in range(n))
-    best_value = deny_total
-    best_set: set[int] = set()
-    for m in range(1, cap + 1):
-        gains = sorted(((table.granted(i, m)[1] - table.denied(i), i) for i in range(n)),
-                       key=lambda t: (-t[0], t[1]))
-        chosen = gains[:m]
-        value = deny_total + sum(gain for gain, _ in chosen)
-        if value > best_value:
-            best_value = value
-            best_set = {i for _, i in chosen}
-    return table.decision([i in best_set for i in range(n)])
+    grants = np.zeros(scenario.user_count, dtype=bool)
+    if table.cap == 0:
+        return table.decision(grants)
+    # Row m - 1 holds every user's gain in a round of m grants; rows are
+    # contiguous, which makes the per-row sort faster than a column sort.
+    gains = np.ascontiguousarray((table.values - table.deny[:, None]).T)
+    order = np.argsort(-gains, axis=1, kind="stable")
+    top = np.cumsum(np.take_along_axis(gains, order, axis=1), axis=1)
+    deny_total = _sequential_sum(table.deny)
+    # Index 0 is m = 0 (all local); argmax keeps the first of equal values.
+    totals = deny_total + np.concatenate(([0.0], top.diagonal()))
+    best = int(np.argmax(totals))
+    if best > 0:
+        grants[order[best - 1, :best]] = True
+    return table.decision(grants)
 
 
 EXHAUSTIVE_LIMIT = 15
@@ -327,7 +328,7 @@ def solve_exhaustive(scenario: Scenario) -> Decision:
     """Ground truth by enumerating every feasible grant pattern. I <= 15 only."""
     n = scenario.user_count
     if n > EXHAUSTIVE_LIMIT:
-        raise ValueError(
+        raise ValidationError(
             f"exhaustive enumeration refused for {n} users (limit {EXHAUSTIVE_LIMIT})")
     cap = min(n, scenario.edge.b_max)
     table = SplitTable(scenario)

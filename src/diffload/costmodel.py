@@ -1,0 +1,103 @@
+"""The latency/accuracy model over all users at once.
+
+:class:`CostModel` holds a scenario as per-user vectors and evaluates the
+model of :mod:`diffload.qoe` on whole (user, grant count) grids. Every
+value is computed with the operations of the scalar :func:`qoe.user_qoe`
+in the same order, and the accuracy curve is tabulated with
+:func:`qoe.fitted_pai` itself, so each grid cell equals the scalar value
+bit for bit; the scalar functions stay the reference the tests compare
+against. Optimal splits follow the case analysis of
+:func:`split.optimal_split`, with the interior root in closed form.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .qoe import fitted_pai, step_latency_local
+from .scenario import EdgeConfig, PaiParams, Scenario
+from .split import stationary_point
+
+
+@dataclass(frozen=True)
+class CostModel:
+    edge: EdgeConfig
+    pai: PaiParams
+    alpha: np.ndarray       # (I,) emphasis weights
+    local_step: np.ndarray  # (I,) per-step local latency
+    rtt: np.ndarray         # (I,) wait from request slot to end of decision interval
+    payload: np.ndarray     # (I,) prompt plus intermediate bits moved per grant
+    accuracy: np.ndarray    # (n_total + 1,) F(n) at every integer split
+
+    @classmethod
+    def from_scenario(cls, scenario: Scenario) -> "CostModel":
+        edge, users = scenario.edge, scenario.users
+        slots = np.array([u.request_slot for u in users], dtype=np.int64)
+        return cls(
+            edge=edge,
+            pai=scenario.pai,
+            alpha=np.array([u.alpha for u in users], dtype=float),
+            local_step=np.array([step_latency_local(u.device) for u in users], dtype=float),
+            rtt=(edge.slots_per_interval - slots) * edge.slot_duration,
+            payload=np.array([u.prompt_bits + u.intermediate_bits for u in users], dtype=float),
+            accuracy=np.array([fitted_pai(n, scenario.pai)
+                               for n in range(scenario.pai.n_total + 1)]),
+        )
+
+    def edge_step(self, m):
+        """Per-step edge latency at batch size m, as in qoe.step_latency_edge."""
+        device = self.edge.device
+        return device.step_slope * (np.asarray(m) / self.edge.gpus) + device.step_intercept
+
+    def denied(self) -> np.ndarray:
+        """(I,) value of each user run fully locally."""
+        n = self.pai.n_total
+        return self.alpha * self.accuracy[n] - (self.rtt + n * self.local_step)
+
+    def granted(self, split, m) -> np.ndarray:
+        """Value of each user granted at `split` in a round of m grants.
+
+        `split` broadcasts against (I, k) and `m` against (k,); the result
+        is (I, k), users along the first axis.
+        """
+        m = np.asarray(m)
+        return self._granted(np.asarray(split), self._rtt_and_transfer(m), self.edge_step(m))
+
+    def _rtt_and_transfer(self, m: np.ndarray) -> np.ndarray:
+        """The split-independent head of a granted user's latency sum."""
+        return self.rtt[:, None] + self.payload[:, None] * m / (
+            self.edge.spectral_efficiency * self.edge.bandwidth_hz)
+
+    def _granted(self, split: np.ndarray, head: np.ndarray, edge_step) -> np.ndarray:
+        edge_c = (self.pai.n_total - split) * edge_step
+        total = head + edge_c + split * self.local_step[:, None]
+        return self.alpha[:, None] * self.accuracy[split] - total
+
+    def optimal_splits(self, cap: int) -> tuple[np.ndarray, np.ndarray]:
+        """(I, cap) optimal splits and their values; column m - 1 holds m grants."""
+        pai = self.pai
+        m = np.arange(1, cap + 1)
+        edge_step = self.edge_step(m)
+        delta = self.local_step[:, None] - edge_step
+        alpha = np.broadcast_to(self.alpha[:, None], delta.shape)
+
+        def rate(n):
+            f = self.accuracy[n]
+            return self.alpha * pai.a_f * f * (1.0 - f)
+
+        local_dominates = delta <= 0
+        pai_saturated = ~local_dominates & (rate(pai.n_total)[:, None] >= delta)
+        latency_saturated = (~local_dominates & ~pai_saturated
+                             & (rate(pai.n_min)[:, None] <= delta))
+        interior = ~(local_dominates | pai_saturated | latency_saturated)
+
+        lo = np.where(latency_saturated, pai.n_min, pai.n_total)
+        root = stationary_point(alpha[interior], delta[interior], pai)
+        lo[interior] = np.clip(np.floor(root), pai.n_min, pai.n_total)
+        hi = np.where(interior, np.minimum(lo + 1, pai.n_total), lo)
+        head = self._rtt_and_transfer(m)
+        v_lo, v_hi = self._granted(lo, head, edge_step), self._granted(hi, head, edge_step)
+        take_hi = v_hi > v_lo
+        return np.where(take_hi, hi, lo), np.where(take_hi, v_hi, v_lo)

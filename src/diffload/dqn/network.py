@@ -29,9 +29,7 @@ class QNetwork:
     def __init__(self, i_max: int, hidden: tuple[int, ...] = (256, 256, 256),
                  rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng(0)
-        self.i_max = i_max
-        self.hidden = tuple(hidden)
-        self.input_dim = i_max * (3 + EMBED_DIM) + N_GLOBALS
+        self._set_layout(i_max, hidden)
         self.params: dict[str, np.ndarray] = {
             "embed": rng.uniform(-0.5, 0.5, size=(VOCAB, EMBED_DIM)),
         }
@@ -39,7 +37,21 @@ class QNetwork:
         for layer, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
             self.params[f"W{layer}"] = _he_uniform(rng, d_in, (d_in, d_out))
             self.params[f"b{layer}"] = np.zeros(d_out)
-        self.n_layers = len(dims) - 1
+
+    @classmethod
+    def from_params(cls, i_max: int, hidden: tuple[int, ...],
+                    params: dict[str, np.ndarray]) -> "QNetwork":
+        """A network holding copies of `params`; draws no random initialisation."""
+        net = cls.__new__(cls)
+        net._set_layout(i_max, hidden)
+        net.params = {k: np.asarray(v, dtype=float).copy() for k, v in params.items()}
+        return net
+
+    def _set_layout(self, i_max: int, hidden: tuple[int, ...]) -> None:
+        self.i_max = i_max
+        self.hidden = tuple(hidden)
+        self.input_dim = i_max * (3 + EMBED_DIM) + N_GLOBALS
+        self.n_layers = len(self.hidden) + 1
 
     @property
     def feature_dim(self) -> int:
@@ -50,9 +62,7 @@ class QNetwork:
             self.params[k] = v.copy()
 
     def clone(self) -> "QNetwork":
-        dup = QNetwork(self.i_max, self.hidden, rng=np.random.default_rng(0))
-        dup.copy_from(self)
-        return dup
+        return QNetwork.from_params(self.i_max, self.hidden, self.params)
 
     def _assemble(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Embed status tokens and build the dense-stack input. Returns (x0, tokens)."""

@@ -219,10 +219,7 @@ class TrainedPolicy:
     episodes: int
 
     def make_network(self) -> QNetwork:
-        net = QNetwork(self.i_max, self.hidden)
-        for key, value in self.params.items():
-            net.params[key] = np.asarray(value, dtype=float).copy()
-        return net
+        return QNetwork.from_params(self.i_max, self.hidden, self.params)
 
 
 @dataclass
@@ -312,7 +309,7 @@ def greedy_solve(policy: TrainedPolicy, scenario: Scenario) -> Decision:
     if scenario.user_count > policy.i_max:
         raise ContractError(
             f"scenario has {scenario.user_count} users; policy capacity is {policy.i_max}")
-    if scenario.edge.b_max < 1:
+    if scenario.user_count == 0 or scenario.edge.b_max < 1:
         return all_local_decision(scenario)
     net = policy.make_network()
     record = run_episode(scenario, lambda f: greedy_action(net.forward(f)),

@@ -11,8 +11,10 @@ pairs. Because x is binary (x^2 = x), the linear term can be folded onto
 the diagonal of A, leaving a pure quadratic form; :func:`absorb_linear`
 performs that fold and :func:`eval_quadratic` evaluates either form.
 
-Used by the branch-and-bound baseline and as an independent cross-check of
-the direct objective.
+No solver uses it: branch and bound reads the same fixed-split values from
+:class:`diffload.costmodel.CostModel`. The form is an independent
+cross-check of the direct objective (acceptance criterion 2) and an export
+format.
 """
 
 from __future__ import annotations

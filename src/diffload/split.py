@@ -8,13 +8,16 @@ of the split point n is
 which is strictly concave on [n_min, n_total] because F > 0.5 there. The
 derivative of the accuracy term is g(n) = alpha * a_f * F(n) * (1 - F(n)),
 strictly decreasing on the domain, so the stationarity condition
-g(n) = L_local - L_edge has at most one root and bisection suffices. The
-integer optimum is floor or ceil of the continuous root by concavity.
+g(n) = delta, with delta = L_local - L_edge, has at most one root. It
+inverts in closed form (:func:`stationary_point`), and the integer optimum
+is the floor or the ceiling of that root by concavity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .qoe import DecisionEntry, fitted_pai, step_latency_edge, step_latency_local, user_qoe
 from .scenario import EdgeConfig, PaiParams, UserRequest
@@ -23,8 +26,6 @@ LOCAL_DOMINATES = "local-dominates"
 PAI_SATURATED = "pai-saturated"
 LATENCY_SATURATED = "latency-saturated"
 INTERIOR_ROOT = "interior-root"
-
-ROOT_TOL = 1e-6  # bisection interval width, in steps
 
 
 @dataclass(frozen=True)
@@ -41,17 +42,18 @@ def marginal_pai_rate(n: float, alpha: float, pai: PaiParams) -> float:
     return alpha * pai.a_f * f * (1.0 - f)
 
 
-def _bisect_root(alpha: float, delta: float, pai: PaiParams) -> float:
-    # g is strictly decreasing on [n_min, n_total]; g(n_min) > delta > g(n_total)
-    # is guaranteed by the caller, so the root is interior and bracketed.
-    lo, hi = float(pai.n_min), float(pai.n_total)
-    while hi - lo > ROOT_TOL:
-        mid = 0.5 * (lo + hi)
-        if marginal_pai_rate(mid, alpha, pai) > delta:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def stationary_point(alpha, delta, pai: PaiParams):
+    """The split n > b_f at which marginal_pai_rate(n) equals `delta`.
+
+    F(1 - F) = c with c = delta / (alpha * a_f) gives the upper branch
+    F* = (1 + sqrt(1 - 4c)) / 2, and n* = b_f + logit(F*) / a_f. Since
+    1 - F* = c / F*, the logit is log(F*^2 / c), which avoids the
+    cancellation in 1 - F* when c is small. Requires 0 < c <= 1/4, which
+    holds whenever g(n_min) > delta > 0; takes scalars or arrays alike.
+    """
+    c = delta / (alpha * pai.a_f)
+    f = (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * c, 0.0))) / 2.0
+    return pai.b_f + np.log(f * f / c) / pai.a_f
 
 
 def optimal_split(user: UserRequest, granted_count: int, edge: EdgeConfig,
@@ -81,7 +83,7 @@ def optimal_split(user: UserRequest, granted_count: int, edge: EdgeConfig,
         return SplitResult(split=n, continuous_root=None, case=LATENCY_SATURATED,
                            inner_value=value_at(n))
 
-    root = _bisect_root(user.alpha, delta, pai)
+    root = float(stationary_point(user.alpha, delta, pai))
     lo = max(pai.n_min, min(pai.n_total, int(root)))
     hi = max(pai.n_min, min(pai.n_total, lo + 1))
     v_lo, v_hi = value_at(lo), value_at(hi)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -97,6 +98,15 @@ def test_solve_missing_file_is_clean_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_solve_exhaustive_on_too_many_users_is_clean_error(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    run(["generate", "--seed", 7, "--users", 20, "-o", path])
+    assert run(["solve", path, "--solver", "exhaustive", "-o", tmp_path / "d.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "refused for 20 users" in err
+    assert not (tmp_path / "d.json").exists()
+
+
 # -- train ----------------------------------------------------------------------
 
 def test_train_specific_writes_policy_and_curve(tmp_path, scenario_file):
@@ -150,6 +160,21 @@ def test_sweep_row_count_and_determinism(tmp_path):
     assert len(rows) == 3 * 2 * 4
     assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
     assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
+
+
+def test_sweep_files_keep_their_bytes(tmp_path):
+    # SHA-256 of report.csv and summary.csv as written by the per-m sorting
+    # oracle and the bisection split solver, which the array cost model
+    # replaced (x86-64 Linux, CPython 3.11, numpy 2.4).
+    assert run(["sweep", "--axis", "user_count", "--values", "4,7", "--cases", "2",
+                "--solvers", "b1,b2,b3,ga,bnb,oracle", "--seed", 11,
+                "-o", tmp_path]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("report.csv", "summary.csv")}
+    assert digests == {
+        "report.csv": "1a6afe8fbec68e848908604e6ede699bf64a43a42fe5295ef87c7691ad8c44ae",
+        "summary.csv": "07eb25ccd2840cefd1f2860da55637a5e3e45118c59dc2ae1e705cdea02094cd",
+    }
 
 
 def test_sweep_rows_self_consistent(tmp_path):

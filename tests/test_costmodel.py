@@ -1,0 +1,151 @@
+"""The array cost model against the scalar reference, and the oracle built on it."""
+
+from collections import Counter
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from diffload.baselines import SOLVERS, SplitTable, solve_count_oracle, solve_exhaustive
+from diffload.costmodel import CostModel
+from diffload.qoe import ContractError, DecisionEntry, objective, user_qoe, validate_decision
+from diffload.scenario import (
+    DeviceProfile,
+    GeneratorConfig,
+    PaiParams,
+    Scenario,
+    UserRequest,
+    default_edge,
+    generate_scenario,
+)
+from diffload.split import (
+    INTERIOR_ROOT,
+    LATENCY_SATURATED,
+    LOCAL_DOMINATES,
+    PAI_SATURATED,
+    optimal_split,
+)
+
+
+def make_scenario(seed, users, b_max, gpus=8):
+    return generate_scenario(seed, GeneratorConfig(user_count=users),
+                             default_edge(gpus=gpus, b_max=b_max), PaiParams())
+
+
+def wide_scenario(rng, users, b_max):
+    """Users and an edge drawn as in criterion 3, so every split case occurs."""
+    edge = replace(default_edge(gpus=int(rng.integers(1, 17)), b_max=b_max),
+                   device=DeviceProfile("e", float(rng.uniform(0, 0.05)),
+                                        float(rng.uniform(0.005, 0.2))))
+    population = [
+        UserRequest(i, DeviceProfile("d", float(rng.uniform(0, 0.1)),
+                                     float(rng.uniform(0.02, 1.2))),
+                    float(rng.uniform(0.5, 320.0)), int(rng.integers(1, 101)),
+                    216.0, 4.4e6)
+        for i in range(users)]
+    return Scenario(users=population, edge=edge, pai=PaiParams(), seed=0)
+
+
+def per_m_sort_oracle(scenario):
+    """The count oracle as a loop: per m, sort (-gain, index) and take the top m."""
+    n = scenario.user_count
+    table = SplitTable(scenario)
+    deny_total = sum(table.denied(i) for i in range(n))
+    best_value, best_set = deny_total, set()
+    for m in range(1, table.cap + 1):
+        gains = sorted(((table.granted(i, m)[1] - table.denied(i), i) for i in range(n)),
+                       key=lambda t: (-t[0], t[1]))
+        value = deny_total + sum(gain for gain, _ in gains[:m])
+        if value > best_value:
+            best_value, best_set = value, {i for _, i in gains[:m]}
+    return best_set
+
+
+def test_grid_matches_scalar_split_and_value_in_every_case():
+    rng = np.random.default_rng(2024)
+    cases = Counter()
+    for _ in range(30):
+        scenario = wide_scenario(rng, users=12, b_max=20)
+        table = SplitTable(scenario)
+        for _ in range(40):
+            i, m = int(rng.integers(0, 12)), int(rng.integers(1, table.cap + 1))
+            user = scenario.users[i]
+            res = optimal_split(user, m, scenario.edge, scenario.pai)
+            cases[res.case] += 1
+            split, value = table.granted(i, m)
+            assert split == res.split
+            assert value == pytest.approx(res.inner_value, rel=1e-12)
+            assert value == pytest.approx(
+                user_qoe(user, DecisionEntry(granted=True, split=split), m,
+                         scenario.edge, scenario.pai), rel=1e-12)
+        for i, user in enumerate(scenario.users):
+            deny = user_qoe(user, DecisionEntry(granted=False, split=scenario.pai.n_total),
+                            0, scenario.edge, scenario.pai)
+            assert table.denied(i) == pytest.approx(deny, rel=1e-12)
+    assert set(cases) == {LOCAL_DOMINATES, PAI_SATURATED, LATENCY_SATURATED, INTERIOR_ROOT}
+
+
+def test_fixed_split_grid_matches_scalar_value():
+    scenario = make_scenario(seed=4, users=9, b_max=6)
+    model = CostModel.from_scenario(scenario)
+    for split in (80, 131, 200):
+        grid = model.granted(split, np.arange(1, 7))
+        for i, user in enumerate(scenario.users):
+            for m in range(1, 7):
+                expected = user_qoe(user, DecisionEntry(granted=True, split=split), m,
+                                    scenario.edge, scenario.pai)
+                assert grid[i, m - 1] == pytest.approx(expected, rel=1e-12)
+
+
+def test_oracle_matches_per_m_sort_reference():
+    rng = np.random.default_rng(77)
+    for seed in range(40):
+        users = int(rng.integers(1, 40))
+        scenario = make_scenario(seed, users, b_max=int(rng.integers(0, users + 3)),
+                                 gpus=int(rng.choice([1, 2, 4, 8, 16])))
+        decision = solve_count_oracle(scenario)
+        granted = {i for i, e in enumerate(decision.entries) if e.granted}
+        assert granted == per_m_sort_oracle(scenario)
+
+
+def test_oracle_breaks_equal_gains_toward_lower_index():
+    # Identical users have identical gains; the oracle grants the lowest ids.
+    base = make_scenario(seed=3, users=1, b_max=3).users[0]
+    users = [replace(base, id=i) for i in range(6)]
+    scenario = Scenario(users=users, edge=default_edge(gpus=8, b_max=3),
+                        pai=PaiParams(), seed=0)
+    decision = solve_count_oracle(scenario)
+    granted = [i for i, e in enumerate(decision.entries) if e.granted]
+    assert granted == sorted(per_m_sort_oracle(scenario))
+    assert granted == list(range(len(granted)))
+
+
+@pytest.mark.parametrize("users", [0, 1])
+@pytest.mark.parametrize("full_cap", [False, True])
+def test_degenerate_sizes_through_table_and_oracle(users, full_cap):
+    rng = np.random.default_rng(users * 2 + full_cap)
+    for _ in range(10):
+        b_max = users if full_cap else 0
+        scenario = wide_scenario(rng, users=users, b_max=b_max)
+        table = SplitTable(scenario)
+        assert table.cap == min(users, b_max)
+        assert table.splits.shape == table.values.shape == (users, table.cap)
+        decision = solve_count_oracle(scenario)
+        validate_decision(scenario, decision)
+        best = objective(scenario, solve_exhaustive(scenario))
+        assert objective(scenario, decision) == pytest.approx(best, rel=1e-12, abs=1e-12)
+
+
+def test_table_rejects_grant_counts_outside_its_grid():
+    table = SplitTable(make_scenario(seed=1, users=5, b_max=3))
+    for m in (0, 4):
+        with pytest.raises(ContractError, match="grant count"):
+            table.granted(0, m)
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_every_solver_returns_the_empty_decision_for_no_users(name):
+    scenario = replace(make_scenario(seed=2, users=3, b_max=4), users=[])
+    decision = SOLVERS[name](scenario, rng=np.random.default_rng(0))
+    assert decision.entries == []
+    assert objective(scenario, decision) == 0

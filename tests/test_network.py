@@ -150,3 +150,16 @@ def test_clone_and_copy_are_exact():
     assert np.array_equal(net.forward(feats), twin.forward(feats))
     net.params["W0"] += 1.0
     assert not np.array_equal(net.forward(feats), twin.forward(feats))
+
+
+def test_from_params_copies_weights_without_drawing():
+    rng = np.random.default_rng(8)
+    net = QNetwork(i_max=3, hidden=(8, 4), rng=rng)
+    state = rng.bit_generator.state
+    rebuilt = QNetwork.from_params(3, (8, 4), net.params)
+    assert rng.bit_generator.state == state
+    assert (rebuilt.input_dim, rebuilt.n_layers) == (net.input_dim, net.n_layers)
+    feats = random_features(rng, 3, 5)
+    assert np.array_equal(net.forward(feats), rebuilt.forward(feats))
+    net.params["W1"] += 1.0
+    assert not np.array_equal(net.forward(feats), rebuilt.forward(feats))

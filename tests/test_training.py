@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -254,6 +256,8 @@ def test_greedy_solve_zero_capacity_goes_all_local():
     scenario = generate_scenario(2, GeneratorConfig(user_count=3), default_edge(b_max=0))
     decision = greedy_solve(policy, scenario)
     assert decision.grant_count == 0
+    empty = replace(scenario, users=[])
+    assert greedy_solve(policy, empty).entries == []
 
 
 def test_specific_training_beats_random_policy():
