@@ -10,6 +10,8 @@ suite checks them against central finite differences.
 
 from __future__ import annotations
 
+from concurrent.futures import Future
+
 import numpy as np
 
 from ..env import FEATURES_PER_USER, N_GLOBALS
@@ -18,6 +20,18 @@ from ..qoe import ContractError
 VOCAB = 4
 EMBED_DIM = 3
 N_ACTIONS = 2
+
+
+class InlineLane:
+    """Executor stand-in that runs each task on the calling thread as it is submitted."""
+
+    def submit(self, fn, /, *args) -> Future:
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+INLINE = InlineLane()
 
 
 def _he_uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
@@ -30,13 +44,14 @@ class QNetwork:
                  rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng(0)
         self._set_layout(i_max, hidden)
-        self.params: dict[str, np.ndarray] = {
-            "embed": rng.uniform(-0.5, 0.5, size=(VOCAB, EMBED_DIM)),
-        }
-        dims = [self.input_dim, *self.hidden, N_ACTIONS]
-        for layer, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
-            self.params[f"W{layer}"] = _he_uniform(rng, d_in, (d_in, d_out))
-            self.params[f"b{layer}"] = np.zeros(d_out)
+        self.params: dict[str, np.ndarray] = {}
+        for key, shape in self.param_shapes(i_max, hidden).items():
+            if key == "embed":
+                self.params[key] = rng.uniform(-0.5, 0.5, size=shape)
+            elif key.startswith("W"):
+                self.params[key] = _he_uniform(rng, shape[0], shape)
+            else:
+                self.params[key] = np.zeros(shape)
 
     @classmethod
     def from_params(cls, i_max: int, hidden: tuple[int, ...],
@@ -47,11 +62,22 @@ class QNetwork:
         net.params = {k: np.asarray(v, dtype=float).copy() for k, v in params.items()}
         return net
 
+    @staticmethod
+    def param_shapes(i_max: int, hidden: tuple[int, ...]) -> dict[str, tuple[int, ...]]:
+        """Shape of every parameter of a network with this layout, by key."""
+        dims = [i_max * (3 + EMBED_DIM) + N_GLOBALS, *hidden, N_ACTIONS]
+        shapes = {"embed": (VOCAB, EMBED_DIM)}
+        for layer, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
+            shapes[f"W{layer}"] = (d_in, d_out)
+            shapes[f"b{layer}"] = (d_out,)
+        return shapes
+
     def _set_layout(self, i_max: int, hidden: tuple[int, ...]) -> None:
         self.i_max = i_max
         self.hidden = tuple(hidden)
         self.input_dim = i_max * (3 + EMBED_DIM) + N_GLOBALS
         self.n_layers = len(self.hidden) + 1
+        self._work_arrays: dict = {}
 
     @property
     def feature_dim(self) -> int:
@@ -64,8 +90,12 @@ class QNetwork:
     def clone(self) -> "QNetwork":
         return QNetwork.from_params(self.i_max, self.hidden, self.params)
 
-    def _assemble(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Embed status tokens and build the dense-stack input. Returns (x0, tokens)."""
+    def _assemble(self, features: np.ndarray,
+                  x0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Embed status tokens and build the dense-stack input, into `x0` when given.
+
+        Returns (x0, tokens).
+        """
         if features.shape[-1] != self.feature_dim:
             raise ContractError(
                 f"feature length {features.shape[-1]} does not match encoder "
@@ -77,9 +107,11 @@ class QNetwork:
         tokens = per_user[:, :, 3].astype(np.int64)
         if tokens.min() < 0 or tokens.max() >= VOCAB:
             raise ContractError(f"status tokens outside [0, {VOCAB})")
-        embedded = self.params["embed"][tokens]  # (B, i_max, EMBED_DIM)
-        blocks = np.concatenate([statics, embedded], axis=2).reshape(batch, -1)
-        x0 = np.concatenate([blocks, features[:, self.i_max * FEATURES_PER_USER:]], axis=1)
+        x0 = np.empty((batch, self.input_dim)) if x0 is None else x0
+        blocks = x0[:, :self.i_max * (3 + EMBED_DIM)].reshape(batch, self.i_max, 3 + EMBED_DIM)
+        blocks[:, :, :3] = statics
+        blocks[:, :, 3:] = self.params["embed"][tokens]
+        x0[:, self.i_max * (3 + EMBED_DIM):] = features[:, self.i_max * FEATURES_PER_USER:]
         return x0, tokens
 
     def forward(self, features: np.ndarray) -> np.ndarray:
@@ -88,45 +120,78 @@ class QNetwork:
         feats = features[None, :] if single else features
         x, _ = self._assemble(feats)
         for layer in range(self.n_layers):
-            x = x @ self.params[f"W{layer}"] + self.params[f"b{layer}"]
+            x = x @ self.params[f"W{layer}"]
+            x += self.params[f"b{layer}"]
             if layer < self.n_layers - 1:
-                x = np.maximum(x, 0.0)
+                np.maximum(x, 0.0, out=x)
         return x[0] if single else x
 
+    def _workspace(self, rows: int) -> dict:
+        """Arrays for a `rows`-row training pass, kept between calls.
+
+        Reusing them spares the allocator: freeing and refilling a few
+        megabytes per step costs about a page fault per 4 KiB.
+        """
+        if self._work_arrays.get("rows") != rows:
+            dims = [self.input_dim, *self.hidden, N_ACTIONS]
+            self._work_arrays = {
+                "rows": rows,
+                "x0": np.empty((rows, self.input_dim)),
+                "pre": [np.empty((rows, d)) for d in dims[1:]],
+                "post": [np.empty((rows, d)) for d in self.hidden],
+                "delta": [np.empty((rows, d)) for d in self.hidden],
+                "d_input": np.empty((rows, self.input_dim)),
+                "weight_grads": [np.empty((a, b)) for a, b in zip(dims[:-1], dims[1:])],
+            }
+        return self._work_arrays
+
     def forward_cached(self, features: np.ndarray):
-        """Batch forward keeping the activations needed for the backward pass."""
-        x0, tokens = self._assemble(features)
-        pre, post = [], [x0]
-        x = x0
+        """Batch forward keeping the activations needed for the backward pass.
+
+        The Q-values and the cache live in arrays this network reuses: they
+        hold until its next `forward_cached` call.
+        """
+        ws = self._workspace(features.shape[0])
+        x0, tokens = self._assemble(features, ws["x0"])
+        pre, post = ws["pre"], [x0, *ws["post"], ws["pre"][-1]]
         for layer in range(self.n_layers):
-            z = x @ self.params[f"W{layer}"] + self.params[f"b{layer}"]
-            pre.append(z)
-            x = np.maximum(z, 0.0) if layer < self.n_layers - 1 else z
-            post.append(x)
+            z = np.matmul(post[layer], self.params[f"W{layer}"], out=pre[layer])
+            z += self.params[f"b{layer}"]
+            if layer < self.n_layers - 1:
+                np.maximum(z, 0.0, out=post[layer + 1])
         cache = {"pre": pre, "post": post, "tokens": tokens}
         return post[-1], cache
 
-    def backward(self, cache, dq: np.ndarray) -> dict[str, np.ndarray]:
-        """Gradients of a scalar loss given d(loss)/d(q) for a cached forward."""
-        grads: dict[str, np.ndarray] = {}
+    def backward(self, cache, dq: np.ndarray, *, lane=INLINE) -> dict[str, np.ndarray]:
+        """Gradients of a scalar loss given d(loss)/d(q) for a cached forward.
+
+        Each weight gradient ``inp.T @ delta`` runs on `lane` while this
+        thread carries `delta` down to the next layer; neither writes what
+        the other reads. The weight gradients live in arrays this network
+        reuses: they hold until its next `backward` call.
+        """
+        ws = self._workspace(dq.shape[0])
+        grads: dict = {}
         delta = dq
         for layer in reversed(range(self.n_layers)):
             inp = cache["post"][layer]
-            grads[f"W{layer}"] = inp.T @ delta
+            grads[f"W{layer}"] = lane.submit(np.matmul, inp.T, delta, ws["weight_grads"][layer])
             grads[f"b{layer}"] = delta.sum(axis=0)
             if layer > 0:
-                delta = delta @ self.params[f"W{layer}"].T
-                delta = delta * (cache["pre"][layer - 1] > 0.0)
+                delta = np.matmul(delta, self.params[f"W{layer}"].T, out=ws["delta"][layer - 1])
+                delta *= cache["pre"][layer - 1] > 0.0
         # Push into the embedding table: the first i_max * 6 inputs interleave
-        # [statics(3), embed(3)] per user.
-        d_input = delta @ self.params["W0"].T
+        # [statics(3), embed(3)] per user. bincount sums each token's rows in
+        # row order, as a sequential scatter-add would.
+        d_input = np.matmul(delta, self.params["W0"].T, out=ws["d_input"])
         batch = d_input.shape[0]
         d_blocks = d_input[:, :self.i_max * (3 + EMBED_DIM)]
-        d_blocks = d_blocks.reshape(batch, self.i_max, 3 + EMBED_DIM)
-        d_embedded = d_blocks[:, :, 3:]
-        d_embed = np.zeros((VOCAB, EMBED_DIM))
-        np.add.at(d_embed, cache["tokens"].reshape(-1),
-                  d_embedded.reshape(-1, EMBED_DIM))
+        d_embedded = d_blocks.reshape(batch * self.i_max, 3 + EMBED_DIM)[:, 3:]
+        tokens = cache["tokens"].reshape(-1)
+        d_embed = np.stack([np.bincount(tokens, weights=d_embedded[:, dim], minlength=VOCAB)
+                            for dim in range(EMBED_DIM)], axis=1)
+        for layer in range(self.n_layers):
+            grads[f"W{layer}"] = grads[f"W{layer}"].result()
         grads["embed"] = d_embed
         return grads
 
@@ -150,12 +215,31 @@ class Adam:
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self._buf = {k: np.empty_like(v) for k, v in params.items()}
+        # Tensors for the second lane: largest first, each to the lighter side.
+        loads, self._lane_keys = [0, 0], set()
+        for key in sorted(params, key=lambda k: -params[k].size):
+            side = int(loads[1] < loads[0])
+            loads[side] += params[key].size
+            if side:
+                self._lane_keys.add(key)
 
-    def step(self, grads: dict[str, np.ndarray]) -> None:
+    def step(self, grads: dict[str, np.ndarray], *, lane=INLINE) -> None:
+        """One update; `lane` takes about half the weights, in whole tensors.
+
+        Each tensor's update reads and writes only that tensor's own arrays,
+        so the split changes no value.
+        """
         self.t += 1
         bias1 = 1 - self.beta1 ** self.t
         bias2 = 1 - self.beta2 ** self.t
-        for key, g in grads.items():
+        handed = [(k, g) for k, g in grads.items() if k in self._lane_keys]
+        kept = [(k, g) for k, g in grads.items() if k not in self._lane_keys]
+        done = lane.submit(self._update, handed, bias1, bias2)
+        self._update(kept, bias1, bias2)
+        done.result()
+
+    def _update(self, items: list[tuple[str, np.ndarray]], bias1: float, bias2: float) -> None:
+        for key, g in items:
             m, v, buf = self.m[key], self.v[key], self._buf[key]
             m *= self.beta1
             np.multiply(g, 1 - self.beta1, out=buf)

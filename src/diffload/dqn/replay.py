@@ -5,6 +5,12 @@ episode), so they are stored apart and every sampled batch draws terminal
 and non-terminal experiences at a fixed 1:7 ratio. Within each partition,
 transitions are sampled proportionally to priority^exponent through a sum
 tree; storage is a ring, so the oldest entry is evicted first.
+
+Each partition stores its transitions as typed columns (features, action,
+reward, next features), preallocated at the first push. A partition's done
+flag is its terminal flag, so it is not stored. A sample is one gather per
+column, and a priority update is one batched tree update per partition that
+adds the same floats in the same order as a walk per transition would.
 """
 
 from __future__ import annotations
@@ -15,65 +21,86 @@ import numpy as np
 
 
 class SumTree:
-    """Binary indexed tree over leaf weights supporting prefix-sum sampling."""
+    """Binary sum tree over a ring of leaf weights, with typed item columns."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
         self.tree = np.zeros(2 * capacity - 1)
-        self.data = np.empty(capacity, dtype=object)
+        self.columns: tuple[np.ndarray, ...] | None = None
         self.write = 0
         self.size = 0
 
-    def add(self, weight: float, item) -> int:
-        leaf = self.write + self.capacity - 1
-        self.data[self.write] = item
-        self.update(leaf, weight)
-        self.write = (self.write + 1) % self.capacity
-        self.size = min(self.size + 1, self.capacity)
-        return leaf
+    def add(self, weight: float, columns: tuple[np.ndarray, ...]) -> None:
+        """Store a run of items, row k of every column being item k, at `weight` each.
 
-    def update(self, leaf: int, weight: float) -> None:
-        change = weight - self.tree[leaf]
-        self.tree[leaf] = weight
-        while leaf != 0:
-            leaf = (leaf - 1) // 2
-            self.tree[leaf] += change
+        The columns are allocated at the first call, shaped and typed after
+        `columns`. A run longer than the ring keeps its newest items.
+        """
+        count = len(columns[0])
+        if self.columns is None:
+            self.columns = tuple(np.zeros((self.capacity, *col.shape[1:]), dtype=col.dtype)
+                                 for col in columns)
+        slots = (self.write + np.arange(count)) % self.capacity
+        kept = slice(max(0, count - self.capacity), count)
+        for store, col in zip(self.columns, columns):
+            store[slots[kept]] = col[kept]
+        self.update(slots + self.capacity - 1, np.full(count, weight))
+        self.write = (self.write + count) % self.capacity
+        self.size = min(self.size + count, self.capacity)
 
-    def get(self, value: float) -> tuple[int, float, object]:
-        """Find the leaf whose cumulative-weight segment contains `value`."""
-        idx = 0
-        while True:
-            left = 2 * idx + 1
-            if left >= len(self.tree):
-                break
-            if value <= self.tree[left]:
-                idx = left
-            else:
-                value -= self.tree[left]
-                idx = left + 1
-        data_idx = idx - (self.capacity - 1)
-        return idx, self.tree[idx], self.data[data_idx]
+    def update(self, leaves: np.ndarray, weights: np.ndarray) -> None:
+        """Set leaf `leaves[k]` to `weights[k]` for k in order, keeping every sum current.
+
+        Bit for bit the same as updating one leaf at a time, each update adding
+        its change to every ancestor on the way up: a repeated leaf's change is
+        taken against the weight its previous occurrence set, and each node
+        receives its changes in order of k through one unbuffered `np.add.at`.
+        """
+        leaves = np.asarray(leaves, dtype=np.int64)
+        weights = np.asarray(weights, dtype=float)
+        if not len(leaves):
+            return
+        # Group each leaf's updates in update order: a repeat's change is
+        # taken against the weight set by the update before it, and the leaf
+        # keeps its last weight.
+        order = np.argsort(leaves, kind="stable")
+        grouped = leaves[order]
+        repeat = grouped[1:] == grouped[:-1]
+        before = self.tree[leaves]
+        before[order[1:][repeat]] = weights[order[:-1][repeat]]
+        change = weights - before
+        last = np.append(~repeat, True)
+        self.tree[grouped[last]] = weights[order[last]]
+        # Ancestors of each leaf from its parent up to the root, leaf by leaf
+        # in update order. In 1-based heap numbering the j-th ancestor of
+        # node n is n >> j; a shallow leaf's row runs past the root into 0.
+        shifts = np.arange(1, len(self.tree).bit_length())
+        ancestors = ((leaves + 1)[:, None] >> shifts) - 1
+        valid = ancestors >= 0
+        np.add.at(self.tree, ancestors[valid],
+                  np.broadcast_to(change[:, None], ancestors.shape)[valid])
 
     def get_batch(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Lockstep descent for a whole batch of query values.
 
-        Returns (leaf indices, leaf weights); equivalent to calling
-        :meth:`get` per value but without the per-query Python walk.
+        Returns (leaf indices, leaf weights): for each value, the leaf whose
+        cumulative-weight segment contains it.
         """
         idx = np.zeros(len(values), dtype=np.int64)
-        remaining = values.astype(float).copy()
-        first_leaf = self.capacity - 1
-        while True:
-            internal = idx < first_leaf
-            if not internal.any():
-                break
-            left = 2 * idx[internal] + 1
-            left_sum = self.tree[left]
-            go_left = remaining[internal] <= left_sum
-            idx[internal] = np.where(go_left, left, left + 1)
-            rem = remaining[internal]
-            rem[~go_left] -= left_sum[~go_left]
-            remaining[internal] = rem
+        remaining = values.astype(float)
+        levels = len(self.tree).bit_length() - 1
+        for level in range(levels):
+            left = 2 * idx + 1
+            left_sum = self.tree.take(left, mode="clip")
+            go_right = remaining > left_sum
+            if level == levels - 1:
+                # Unless the capacity is a power of two, some leaves sit one
+                # level up; a descent that reached one stays there.
+                settled = idx >= self.capacity - 1
+                go_right &= ~settled
+                left[settled] = idx[settled]
+            remaining -= left_sum * go_right
+            idx = left + go_right
         return idx, self.tree[idx]
 
     @property
@@ -90,7 +117,10 @@ class SumTree:
 
 @dataclass
 class Sample:
-    items: list
+    features: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    next_features: np.ndarray
     leaves: np.ndarray       # tree leaf indices for priority updates
     terminal_mask: np.ndarray
     weights: np.ndarray      # importance-sampling weights, max-normalized
@@ -111,14 +141,16 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self.terminal.size + self.regular.size
 
-    def push(self, item, terminal: bool, priority: float | None = None) -> None:
-        """Insert with the partition's max weight so new experiences get replayed."""
+    def push(self, features: np.ndarray, actions: np.ndarray, rewards: np.ndarray,
+             next_features: np.ndarray, terminal: bool) -> None:
+        """Insert one episode's transitions for one partition, row k being transition k.
+
+        Every transition gets the partition's max weight, so new experiences
+        get replayed. One scan serves the whole run: each transition writes
+        the max it read, so a scan after it would read the same max.
+        """
         tree = self.terminal if terminal else self.regular
-        if priority is not None:
-            weight = (priority + self.priority_offset) ** self.priority_exponent
-        else:
-            weight = tree.max_weight or 1.0
-        tree.add(weight, item)
+        tree.add(tree.max_weight or 1.0, (features, actions, rewards, next_features))
 
     def ready(self, batch_size: int, terminal_quota: int) -> bool:
         return (self.terminal.size >= terminal_quota
@@ -129,27 +161,27 @@ class ReplayBuffer:
         """Stratified draw: `terminal_quota` terminal + the rest non-terminal."""
         if not self.ready(batch_size, terminal_quota):
             raise ValueError("not enough stored transitions in one of the partitions")
-        items, leaves, masks, probs, sizes = [], [], [], [], []
-        for tree, count, is_term in ((self.terminal, terminal_quota, True),
-                                     (self.regular, batch_size - terminal_quota, False)):
+        parts = []
+        for tree, count in ((self.terminal, terminal_quota),
+                            (self.regular, batch_size - terminal_quota)):
+            if not count:
+                continue
             values = rng.uniform(0.0, tree.total, size=count)
-            leaf_idx, weights_at = tree.get_batch(values)
-            first_leaf = tree.capacity - 1
-            for leaf, weight in zip(leaf_idx, weights_at):
-                items.append(tree.data[leaf - first_leaf])
-                leaves.append(int(leaf))
-                masks.append(is_term)
-                probs.append(weight / tree.total)
-                sizes.append(tree.size)
-        probs = np.asarray(probs)
-        sizes = np.asarray(sizes, dtype=float)
+            leaves, weights_at = tree.get_batch(values)
+            slots = leaves - (tree.capacity - 1)
+            parts.append((*(col[slots] for col in tree.columns), leaves,
+                          weights_at / tree.total, np.full(count, float(tree.size))))
+        features, actions, rewards, next_features, leaves, probs, sizes = (
+            np.concatenate(column) for column in zip(*parts))
         weights = (sizes * probs) ** (-self.is_exponent)
         weights = weights / weights.max()
-        return Sample(items=items, leaves=np.asarray(leaves),
-                      terminal_mask=np.asarray(masks), weights=weights)
+        terminal_mask = np.arange(batch_size) < terminal_quota
+        return Sample(features=features, actions=actions, rewards=rewards,
+                      next_features=next_features, leaves=leaves,
+                      terminal_mask=terminal_mask, weights=weights)
 
     def update_priorities(self, sample: Sample, td_errors: np.ndarray) -> None:
         weights = (np.abs(td_errors) + self.priority_offset) ** self.priority_exponent
-        for leaf, is_term, w in zip(sample.leaves, sample.terminal_mask, weights):
-            tree = self.terminal if is_term else self.regular
-            tree.update(int(leaf), float(w))
+        for tree, part in ((self.terminal, sample.terminal_mask),
+                           (self.regular, ~sample.terminal_mask)):
+            tree.update(sample.leaves[part], weights[part])

@@ -16,11 +16,32 @@ episode, or the early grant decisions never see the latency they cause.
 
 Everything is driven by one seeded generator, so a fixed seed reproduces
 the learning curve and the final weights bit for bit.
+
+Each gradient step runs in two lanes: this thread and one worker thread,
+which `train` opens for the whole run. numpy releases the interpreter lock
+inside matrix products and large array operations, so the worker can use a
+second core. The worker takes, in this order:
+
+- the target network's forward pass (`td_targets`), beside the online
+  network's cached forward pass;
+- the priority update of the sampled transitions, beside the backward pass;
+- each layer's weight gradient ``inp.T @ delta``, while this thread carries
+  the deltas down to the next layer;
+- about half of the Adam update, by whole tensors.
+
+The lanes do not change a single bit of the result. Every random draw stays
+on this thread; the worker draws nothing. Each task writes arrays no other
+task touches while it runs, and reads only arrays nothing writes meanwhile.
+Each array is computed by the same numpy operations on the same inputs as
+on one lane, so its value does not depend on which thread computed it or
+when. Every task is joined before `train_step` returns. On one CPU the
+worker's tasks simply run in turn with this thread's.
 """
 
 from __future__ import annotations
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -29,7 +50,7 @@ import numpy as np
 from ..env import EpisodeRecord, Transition, assign_rewards, decision_from_state, encode, reset, run_episode, step
 from ..qoe import ContractError, Decision, all_local_decision
 from ..scenario import EdgeConfig, GeneratorConfig, PaiParams, Scenario, ValidationError, alpha_band, generate_scenario
-from .network import Adam, QNetwork
+from .network import INLINE, Adam, QNetwork
 from .replay import ReplayBuffer
 
 SCOPES = ("general", "gpu", "specific")
@@ -112,27 +133,42 @@ def td_targets(rewards: np.ndarray, next_features: np.ndarray, dones: np.ndarray
 
 def train_step(net: QNetwork, target_net: QNetwork, adam: Adam,
                buffer: ReplayBuffer, hyper: TrainHyper,
-               rng: np.random.Generator) -> float | None:
-    """One stratified PER update. Returns the loss, or None if the buffer is light."""
+               rng: np.random.Generator, *, lane=INLINE) -> float | None:
+    """One stratified PER update. Returns the loss, or None if the buffer is light.
+
+    `lane` runs the independent halves of the step beside this thread; see
+    the module docstring. Every task is joined before the step returns.
+    """
     if not buffer.ready(hyper.batch_size, hyper.terminal_quota):
         return None
     sample = buffer.sample(hyper.batch_size, hyper.terminal_quota, rng)
-    feats = np.stack([item[0] for item in sample.items])
-    actions = np.array([item[1] for item in sample.items])
-    rewards = np.array([item[2] for item in sample.items])
-    next_feats = np.stack([item[3] for item in sample.items])
-    dones = np.array([item[4] for item in sample.items], dtype=bool)
-
-    y = td_targets(rewards, next_feats, dones, target_net, hyper.gamma)
-    q, cache = net.forward_cached(feats)
-    rows = np.arange(len(actions))
-    td = y - q[rows, actions]
+    targets = lane.submit(td_targets, sample.rewards, sample.next_features,
+                          sample.terminal_mask, target_net, hyper.gamma)
+    q, cache = net.forward_cached(sample.features)
+    rows = np.arange(len(sample.actions))
+    td = targets.result() - q[rows, sample.actions]
     loss = float(np.mean(sample.weights * td * td))
     dq = np.zeros_like(q)
-    dq[rows, actions] = -2.0 * sample.weights * td / len(actions)
-    adam.step(net.backward(cache, dq))
-    buffer.update_priorities(sample, td)
+    dq[rows, sample.actions] = -2.0 * sample.weights * td / len(sample.actions)
+    reprioritized = lane.submit(buffer.update_priorities, sample, td)
+    adam.step(net.backward(cache, dq, lane=lane), lane=lane)
+    reprioritized.result()
     return loss
+
+
+def _push_episode(buffer: ReplayBuffer, transitions: list[Transition],
+                  rewards: list[float], reward_scale: float) -> None:
+    """Push one episode into the replay buffer, one call per partition."""
+    done = np.array([tr.done for tr in transitions])
+    features = np.array([tr.features for tr in transitions])
+    actions = np.array([tr.action for tr in transitions])
+    scaled = np.array(rewards) * reward_scale
+    next_features = np.array([tr.next_features for tr in transitions])
+    for terminal in (True, False):
+        rows = done == terminal
+        if rows.any():
+            buffer.push(features[rows], actions[rows], scaled[rows], next_features[rows],
+                        terminal=terminal)
 
 
 def _derive(seed: int, *key: int) -> tuple[np.random.Generator, int]:
@@ -256,41 +292,40 @@ def train(source: ScenarioSource, hyper: TrainHyper, seed: int,
     returns: list[float] = []
     losses: list[float] = []
 
-    for episode in range(hyper.episodes):
-        scenario = source.scenario_for_episode(episode)
-        record = EpisodeRecord()
-        state = reset(scenario)
-        feats = encode(state, i_max, alpha_scale)
-        while not state.done:
-            eps = linear_schedule(hyper.eps_start, hyper.eps_end, env_steps, explore)
-            tau = linear_schedule(hyper.tau_start, hyper.tau_end, env_steps, explore)
-            action = select_action(net, feats, eps, tau, rng)
-            record.handled_order.append(state.user_ids[state.cursor])
-            state, done = step(state, action)
-            next_feats = encode(state, i_max, alpha_scale)
-            record.transitions.append(Transition(feats, action, next_feats, done))
-            feats = next_feats
-            env_steps += 1
-        record.final_state = state
-        rewards = assign_rewards(record, scenario)
-        returns.append(sum(rewards))
-        for tr, r in zip(record.transitions, rewards):
-            buffer.push((tr.features, tr.action, r * hyper.reward_scale,
-                         tr.next_features, tr.done), terminal=tr.done)
+    with ThreadPoolExecutor(max_workers=1) as lane:
+        for episode in range(hyper.episodes):
+            scenario = source.scenario_for_episode(episode)
+            record = EpisodeRecord()
+            state = reset(scenario)
+            feats = encode(state, i_max, alpha_scale)
+            while not state.done:
+                eps = linear_schedule(hyper.eps_start, hyper.eps_end, env_steps, explore)
+                tau = linear_schedule(hyper.tau_start, hyper.tau_end, env_steps, explore)
+                action = select_action(net, feats, eps, tau, rng)
+                record.handled_order.append(state.user_ids[state.cursor])
+                state, done = step(state, action)
+                next_feats = encode(state, i_max, alpha_scale)
+                record.transitions.append(Transition(feats, action, next_feats, done))
+                feats = next_feats
+                env_steps += 1
+            record.final_state = state
+            rewards = assign_rewards(record, scenario)
+            returns.append(sum(rewards))
+            _push_episode(buffer, record.transitions, rewards, hyper.reward_scale)
 
-        credit += len(record.transitions) / hyper.train_every
-        while credit >= 1.0:
-            loss = train_step(net, target, adam, buffer, hyper, rng)
-            if loss is None:
-                credit = 0.0  # still warming up; forfeit these updates
-                break
-            losses.append(loss)
-            credit -= 1.0
-            train_steps += 1
-            if train_steps % hyper.target_sync == 0:
-                target.copy_from(net)
-        if monitor is not None and monitor_every and (episode + 1) % monitor_every == 0:
-            monitor(episode, net)
+            credit += len(record.transitions) / hyper.train_every
+            while credit >= 1.0:
+                loss = train_step(net, target, adam, buffer, hyper, rng, lane=lane)
+                if loss is None:
+                    credit = 0.0  # still warming up; forfeit these updates
+                    break
+                losses.append(loss)
+                credit -= 1.0
+                train_steps += 1
+                if train_steps % hyper.target_sync == 0:
+                    target.copy_from(net)
+            if monitor is not None and monitor_every and (episode + 1) % monitor_every == 0:
+                monitor(episode, net)
 
     policy = TrainedPolicy(
         i_max=i_max,
@@ -335,18 +370,39 @@ def save_policy(policy: TrainedPolicy, path: str | Path) -> None:
 
 
 def load_policy(path: str | Path) -> TrainedPolicy:
-    obj = json.loads(Path(path).read_text())
-    if obj.get("format") != "diffload-policy-v1":
+    """Read a policy file written by `save_policy`.
+
+    Every malformed file raises `ValidationError`: bad JSON, a missing or
+    mistyped field, or weights whose keys, shapes or values do not fit a
+    network of the stored `i_max` and `hidden`.
+    """
+    try:
+        obj = json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(obj, dict) or obj.get("format") != "diffload-policy-v1":
         raise ValidationError(f"{path}: not a recognized policy file")
-    params = {}
-    for key, spec in obj["weights"].items():
-        params[key] = np.asarray(spec["data"], dtype=float).reshape(spec["shape"])
-    return TrainedPolicy(
-        i_max=int(obj["i_max"]),
-        hidden=tuple(int(h) for h in obj["hidden"]),
-        params=params,
-        alpha_scale=float(obj["alpha_scale"]),
-        scope=str(obj["scope"]),
-        seed=int(obj["seed"]),
-        episodes=int(obj["episodes"]),
-    )
+    try:
+        policy = TrainedPolicy(
+            i_max=int(obj["i_max"]),
+            hidden=tuple(int(h) for h in obj["hidden"]),
+            params={key: np.asarray(spec["data"], dtype=float).reshape(spec["shape"])
+                    for key, spec in obj["weights"].items()},
+            alpha_scale=float(obj["alpha_scale"]),
+            scope=str(obj["scope"]),
+            seed=int(obj["seed"]),
+            episodes=int(obj["episodes"]),
+        )
+    except KeyError as exc:
+        raise ValidationError(f"{path}: policy file lacks the field {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ValidationError(f"{path}: malformed policy file ({exc})") from exc
+    expected = QNetwork.param_shapes(policy.i_max, policy.hidden)
+    shapes = {key: value.shape for key, value in policy.params.items()}
+    if shapes != expected:
+        raise ValidationError(
+            f"{path}: weight shapes {shapes} do not fit i_max {policy.i_max} and "
+            f"hidden {policy.hidden} (expected {expected})")
+    if not all(np.isfinite(value).all() for value in policy.params.values()):
+        raise ValidationError(f"{path}: weights must be finite")
+    return policy

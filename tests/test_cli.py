@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from diffload.cli import main
+from diffload.dqn import QNetwork, TrainedPolicy, save_policy
 from diffload.qoe import fitted_pai, objective
 from diffload.scenario import load_scenario
 from diffload.sweep import read_report
@@ -130,6 +131,45 @@ def test_train_policy_solves_scenario(tmp_path, scenario_file):
                 "-o", out]) == 0
     payload = json.loads(out.read_text())
     assert payload["solver"] == "dqn"
+
+
+@pytest.fixture()
+def policy_file(tmp_path):
+    """An untrained 10-user policy, as `diffload train` would write it."""
+    net = QNetwork(10, rng=np.random.default_rng(0))
+    path = tmp_path / "p.json"
+    save_policy(TrainedPolicy(i_max=10, hidden=net.hidden, params=net.params, alpha_scale=1.0,
+                              scope="specific", seed=0, episodes=1), path)
+    return path
+
+
+def solve_with_policy(scenario_file, policy, capsys):
+    code = run(["solve", scenario_file, "--solver", "dqn", "--policy", policy])
+    return code, capsys.readouterr().err
+
+
+def test_solve_dqn_truncated_policy_is_clean_error(scenario_file, policy_file, capsys):
+    text = policy_file.read_text()
+    policy_file.write_text(text[:len(text) // 2])
+    code, err = solve_with_policy(scenario_file, policy_file, capsys)
+    assert code == 2 and err.startswith("error:") and "not valid JSON" in err
+
+
+def test_solve_dqn_policy_without_weights_is_clean_error(scenario_file, policy_file, capsys):
+    obj = json.loads(policy_file.read_text())
+    del obj["weights"]
+    policy_file.write_text(json.dumps(obj))
+    code, err = solve_with_policy(scenario_file, policy_file, capsys)
+    assert code == 2 and err.startswith("error:") and "'weights'" in err
+
+
+def test_solve_dqn_policy_with_misshapen_weights_is_clean_error(scenario_file, policy_file,
+                                                                capsys):
+    obj = json.loads(policy_file.read_text())
+    obj["weights"]["W0"] = {"shape": [3, 3], "data": [0.0] * 9}
+    policy_file.write_text(json.dumps(obj))
+    code, err = solve_with_policy(scenario_file, policy_file, capsys)
+    assert code == 2 and err.startswith("error:") and "do not fit i_max 10" in err
 
 
 def test_train_zero_budget_fails(tmp_path, scenario_file, capsys):

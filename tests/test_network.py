@@ -1,7 +1,9 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from diffload.dqn.network import Adam, QNetwork
+from diffload.dqn.network import INLINE, Adam, QNetwork
 from diffload.env import DENIED, FEATURES_PER_USER, N_GLOBALS
 from diffload.qoe import ContractError
 
@@ -163,3 +165,60 @@ def test_from_params_copies_weights_without_drawing():
     assert np.array_equal(net.forward(feats), rebuilt.forward(feats))
     net.params["W1"] += 1.0
     assert not np.array_equal(net.forward(feats), rebuilt.forward(feats))
+
+
+# -- bit-for-bit agreement with the plain passes ------------------------------------
+
+def reference_backward(net, features, dq):
+    """The plain backward pass: fresh arrays and a sequential scatter-add into the table."""
+    x0, tokens = net._assemble(features)
+    pre, post, x = [], [x0], x0
+    for layer in range(net.n_layers):
+        z = x @ net.params[f"W{layer}"] + net.params[f"b{layer}"]
+        pre.append(z)
+        x = np.maximum(z, 0.0) if layer < net.n_layers - 1 else z
+        post.append(x)
+    grads, delta = {}, dq
+    for layer in reversed(range(net.n_layers)):
+        grads[f"W{layer}"] = post[layer].T @ delta
+        grads[f"b{layer}"] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ net.params[f"W{layer}"].T) * (pre[layer - 1] > 0.0)
+    d_input = delta @ net.params["W0"].T
+    d_blocks = d_input[:, :net.i_max * 6].reshape(len(features), net.i_max, 6)
+    d_embed = np.zeros((4, 3))
+    np.add.at(d_embed, tokens.reshape(-1), d_blocks[:, :, 3:].reshape(-1, 3))
+    grads["embed"] = d_embed
+    return x, grads
+
+
+def test_backward_matches_plain_pass_bitwise():
+    rng = np.random.default_rng(17)
+    with ThreadPoolExecutor(max_workers=1) as lane:
+        for case in range(200):
+            i_max = int(rng.integers(1, 8))
+            net = QNetwork(i_max=i_max, hidden=(int(rng.integers(1, 12)),) * 3, rng=rng)
+            batch = int(rng.integers(1, 40))
+            feats = random_features(rng, i_max, batch)
+            dq = rng.normal(size=(batch, 2)) * 10.0 ** rng.integers(-4, 2)
+            q_ref, expected = reference_backward(net, feats, dq)
+            q, cache = net.forward_cached(feats)
+            assert q.tobytes() == q_ref.tobytes()
+            grads = net.backward(cache, dq, lane=lane if case % 2 else INLINE)
+            assert list(grads) == list(expected)
+            for key, grad in expected.items():
+                assert grads[key].tobytes() == grad.tobytes(), (case, key)
+
+
+def test_adam_on_a_lane_matches_inline_bitwise():
+    rng = np.random.default_rng(4)
+    inline = QNetwork(i_max=5, rng=np.random.default_rng(1))
+    laned = inline.clone()
+    opt_inline, opt_laned = Adam(inline.params, lr=1e-3), Adam(laned.params, lr=1e-3)
+    with ThreadPoolExecutor(max_workers=1) as lane:
+        for _ in range(5):
+            grads = {k: rng.normal(size=v.shape) for k, v in inline.params.items()}
+            opt_inline.step(grads)
+            opt_laned.step(grads, lane=lane)
+    for key in inline.params:
+        assert inline.params[key].tobytes() == laned.params[key].tobytes()

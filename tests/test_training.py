@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from diffload.dqn.network import Adam, QNetwork
+from diffload.dqn.network import INLINE, Adam, QNetwork
 from diffload.dqn.replay import ReplayBuffer
 from diffload.dqn.training import (
     ScenarioSource,
@@ -132,12 +137,9 @@ def _filled_buffer(net, hyper, n_regular=60, n_terminal=8, seed=0):
         for u in range(net.i_max):
             f[u * 4 + 3] = rng.integers(0, 4)
         return f
-    for _ in range(n_regular):
-        buf.push((feat(), int(rng.integers(2)), float(rng.normal()), feat(), False),
-                 terminal=False)
-    for _ in range(n_terminal):
-        buf.push((feat(), int(rng.integers(2)), float(rng.normal()), feat(), True),
-                 terminal=True)
+    for count, terminal in ((n_regular, False), (n_terminal, True)):
+        rows = [(feat(), int(rng.integers(2)), float(rng.normal()), feat()) for _ in range(count)]
+        buf.push(*(np.array(column) for column in zip(*rows)), terminal=terminal)
     return buf, rng
 
 
@@ -160,6 +162,24 @@ def test_train_step_returns_nonnegative_loss_and_updates():
     loss = train_step(net, target, adam, buf, hyper, rng)
     assert loss is not None and loss >= 0.0
     assert not np.array_equal(before, net.params["W0"])
+
+
+def test_train_step_on_a_lane_matches_inline_bitwise():
+    hyper = tiny_hyper()
+    runs = []
+    with ThreadPoolExecutor(max_workers=1) as lane:
+        for step_lane in (INLINE, lane):
+            net = QNetwork(i_max=3, hidden=(8, 8, 8), rng=np.random.default_rng(1))
+            target = net.clone()
+            adam = Adam(net.params, lr=hyper.lr)
+            buf, rng = _filled_buffer(net, hyper)
+            losses = [train_step(net, target, adam, buf, hyper, rng, lane=step_lane)
+                      for _ in range(12)]
+            runs.append((losses, net.params, buf.regular.tree.tobytes(),
+                         buf.terminal.tree.tobytes()))
+    (losses_a, params_a, *trees_a), (losses_b, params_b, *trees_b) = runs
+    assert losses_a == losses_b and trees_a == trees_b
+    assert all(params_a[k].tobytes() == params_b[k].tobytes() for k in params_a)
 
 
 def test_target_sync_exact_at_multiples():
@@ -193,6 +213,38 @@ def test_train_is_deterministic():
     assert ra.episode_returns == rb.episode_returns
     for key in ra.policy.params:
         assert np.array_equal(ra.policy.params[key], rb.policy.params[key])
+
+
+ONE_RUN = """
+import os, sys
+from diffload.dqn import ScenarioSource, TrainHyper, save_policy, train
+from diffload.scenario import GeneratorConfig, PaiParams, default_edge
+if sys.argv[2] == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+source = ScenarioSource(scope="specific", generator=GeneratorConfig(user_count=6),
+                        edge=default_edge(), pai=PaiParams(), seed=11)
+hyper = TrainHyper(episodes=30, target_sync=50, capacity=4000, batch_size=32,
+                   terminal_quota=4, train_every=0.5)
+save_policy(train(source, hyper, seed=9).policy, sys.argv[1])
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_policy_bytes_do_not_depend_on_the_cpus_given(tmp_path):
+    """A run confined to one CPU writes the same policy file as a run on all of them.
+
+    With one CPU the lane's tasks interleave with this thread differently, so
+    a race between the two would show as different weights.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    paths = {}
+    for cpus in ("one", "all"):
+        paths[cpus] = tmp_path / f"{cpus}.json"
+        subprocess.run([sys.executable, "-c", ONE_RUN, str(paths[cpus]), cpus], env=env,
+                       check=True, timeout=300)
+    assert paths["one"].read_bytes() == paths["all"].read_bytes()
 
 
 def test_train_rejects_zero_budget():
