@@ -14,62 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .costmodel import CostModel, SplitTable, sequential_sum
 from .env import processing_order
-from .costmodel import CostModel
-from .qoe import ContractError, Decision, DecisionEntry
+from .qoe import Decision, DecisionEntry, all_local_decision
 from .scenario import Scenario, ValidationError
-
-
-class SplitTable:
-    """Optimal splits and values for every user and grant count, filled once.
-
-    ``splits`` and ``values`` are (I, cap) grids whose column m - 1 holds a
-    round of m grants, for m = 1..cap with cap = min(I, b_max); ``deny``
-    holds each user's fully local value.
-    """
-
-    def __init__(self, scenario: Scenario):
-        self.scenario = scenario
-        self.cap = min(scenario.user_count, scenario.edge.b_max)
-        model = CostModel.from_scenario(scenario)
-        self.deny = model.denied()
-        self.splits, self.values = model.optimal_splits(self.cap)
-
-    def granted(self, user_idx: int, m: int) -> tuple[int, float]:
-        """(optimal split, QoE) for user granted within a round of m grants."""
-        self._check_count(m)
-        return int(self.splits[user_idx, m - 1]), float(self.values[user_idx, m - 1])
-
-    def denied(self, user_idx: int) -> float:
-        return float(self.deny[user_idx])
-
-    def _check_count(self, m: int) -> None:
-        if not 1 <= m <= self.cap:
-            raise ContractError(f"grant count {m} outside [1, {self.cap}]")
-
-    def _per_user(self, grants) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(grant flags, splits, values) of every user under a grant vector."""
-        grants = np.asarray(grants, dtype=bool)
-        m = int(np.count_nonzero(grants))
-        n_total = self.scenario.pai.n_total
-        if m == 0:
-            return grants, np.full(grants.shape, n_total), self.deny
-        self._check_count(m)
-        return (grants, np.where(grants, self.splits[:, m - 1], n_total),
-                np.where(grants, self.values[:, m - 1], self.deny))
-
-    def decision(self, grants) -> Decision:
-        grants, splits, _ = self._per_user(grants)
-        return Decision(entries=[DecisionEntry(granted=g, split=n)
-                                 for g, n in zip(grants.tolist(), splits.tolist())])
-
-    def value(self, grants) -> float:
-        return _sequential_sum(self._per_user(grants)[2])
-
-
-def _sequential_sum(values: np.ndarray) -> float:
-    """Left-to-right sum in user order, as a Python loop adds; np.sum adds pairwise."""
-    return float(np.cumsum(values)[-1]) if values.size else 0.0
 
 
 def _first_in_request_order(scenario: Scenario, count: int) -> set[int]:
@@ -97,10 +45,7 @@ def baseline_all_offload_fixed(scenario: Scenario) -> Decision:
     return Decision(entries=entries)
 
 
-def baseline_all_local(scenario: Scenario) -> Decision:
-    n_total = scenario.pai.n_total
-    return Decision(entries=[DecisionEntry(granted=False, split=n_total)
-                             for _ in scenario.users])
+baseline_all_local = all_local_decision
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +257,7 @@ def solve_count_oracle(scenario: Scenario) -> Decision:
     gains = np.ascontiguousarray((table.values - table.deny[:, None]).T)
     order = np.argsort(-gains, axis=1, kind="stable")
     top = np.cumsum(np.take_along_axis(gains, order, axis=1), axis=1)
-    deny_total = _sequential_sum(table.deny)
+    deny_total = sequential_sum(table.deny)
     # Index 0 is m = 0 (all local); argmax keeps the first of equal values.
     totals = deny_total + np.concatenate(([0.0], top.diagonal()))
     best = int(np.argmax(totals))

@@ -4,10 +4,14 @@
 model of :mod:`diffload.qoe` on whole (user, grant count) grids. Every
 value is computed with the operations of the scalar :func:`qoe.user_qoe`
 in the same order, and the accuracy curve is tabulated with
-:func:`qoe.fitted_pai` itself, so each grid cell equals the scalar value
-bit for bit; the scalar functions stay the reference the tests compare
-against. Optimal splits follow the case analysis of
+:func:`scenario.fitted_pai` itself, so each grid cell equals the scalar
+value bit for bit; the scalar functions stay the reference the tests
+compare against. Optimal splits follow the case analysis of
 :func:`split.optimal_split`, with the interior root in closed form.
+
+:class:`SplitTable` fills those grids once per scenario and serves every
+decision that needs optimal splits: the oracles, the baselines, the
+genetic algorithm and the decision environment.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qoe import fitted_pai, step_latency_local
-from .scenario import EdgeConfig, PaiParams, Scenario
+from .qoe import ContractError, Decision, DecisionEntry
+from .scenario import EdgeConfig, PaiParams, Scenario, fitted_pai, step_latency_local
 from .split import stationary_point
 
 
@@ -101,3 +105,55 @@ class CostModel:
         v_lo, v_hi = self._granted(lo, head, edge_step), self._granted(hi, head, edge_step)
         take_hi = v_hi > v_lo
         return np.where(take_hi, hi, lo), np.where(take_hi, v_hi, v_lo)
+
+
+class SplitTable:
+    """Optimal splits and values for every user and grant count, filled once.
+
+    ``splits`` and ``values`` are (I, cap) grids whose column m - 1 holds a
+    round of m grants, for m = 1..cap with cap = min(I, b_max); ``deny``
+    holds each user's fully local value.
+    """
+
+    def __init__(self, scenario: Scenario):
+        self.scenario = scenario
+        self.cap = min(scenario.user_count, scenario.edge.b_max)
+        model = CostModel.from_scenario(scenario)
+        self.deny = model.denied()
+        self.splits, self.values = model.optimal_splits(self.cap)
+
+    def granted(self, user_idx: int, m: int) -> tuple[int, float]:
+        """(optimal split, QoE) for user granted within a round of m grants."""
+        self._check_count(m)
+        return int(self.splits[user_idx, m - 1]), float(self.values[user_idx, m - 1])
+
+    def denied(self, user_idx: int) -> float:
+        return float(self.deny[user_idx])
+
+    def _check_count(self, m: int) -> None:
+        if not 1 <= m <= self.cap:
+            raise ContractError(f"grant count {m} outside [1, {self.cap}]")
+
+    def _per_user(self, grants) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(grant flags, splits, values) of every user under a grant vector."""
+        grants = np.asarray(grants, dtype=bool)
+        m = int(np.count_nonzero(grants))
+        n_total = self.scenario.pai.n_total
+        if m == 0:
+            return grants, np.full(grants.shape, n_total), self.deny
+        self._check_count(m)
+        return (grants, np.where(grants, self.splits[:, m - 1], n_total),
+                np.where(grants, self.values[:, m - 1], self.deny))
+
+    def decision(self, grants) -> Decision:
+        grants, splits, _ = self._per_user(grants)
+        return Decision(entries=[DecisionEntry(granted=g, split=n)
+                                 for g, n in zip(grants.tolist(), splits.tolist())])
+
+    def value(self, grants) -> float:
+        return sequential_sum(self._per_user(grants)[2])
+
+
+def sequential_sum(values: np.ndarray) -> float:
+    """Left-to-right sum in user order, as a Python loop adds; np.sum adds pairwise."""
+    return float(np.cumsum(values)[-1]) if values.size else 0.0

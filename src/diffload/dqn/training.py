@@ -47,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..env import EpisodeRecord, Transition, assign_rewards, decision_from_state, encode, reset, run_episode, step
+from ..env import Transition, assign_rewards, decision_from_state, run_episode
 from ..qoe import ContractError, Decision, all_local_decision
 from ..scenario import EdgeConfig, GeneratorConfig, PaiParams, Scenario, ValidationError, alpha_band, generate_scenario
 from .network import INLINE, Adam, QNetwork
@@ -292,23 +292,18 @@ def train(source: ScenarioSource, hyper: TrainHyper, seed: int,
     returns: list[float] = []
     losses: list[float] = []
 
+    def exploring(features: np.ndarray) -> int:
+        """The annealed exploration policy at the current env step."""
+        nonlocal env_steps
+        eps = linear_schedule(hyper.eps_start, hyper.eps_end, env_steps, explore)
+        tau = linear_schedule(hyper.tau_start, hyper.tau_end, env_steps, explore)
+        env_steps += 1
+        return select_action(net, features, eps, tau, rng)
+
     with ThreadPoolExecutor(max_workers=1) as lane:
         for episode in range(hyper.episodes):
             scenario = source.scenario_for_episode(episode)
-            record = EpisodeRecord()
-            state = reset(scenario)
-            feats = encode(state, i_max, alpha_scale)
-            while not state.done:
-                eps = linear_schedule(hyper.eps_start, hyper.eps_end, env_steps, explore)
-                tau = linear_schedule(hyper.tau_start, hyper.tau_end, env_steps, explore)
-                action = select_action(net, feats, eps, tau, rng)
-                record.handled_order.append(state.user_ids[state.cursor])
-                state, done = step(state, action)
-                next_feats = encode(state, i_max, alpha_scale)
-                record.transitions.append(Transition(feats, action, next_feats, done))
-                feats = next_feats
-                env_steps += 1
-            record.final_state = state
+            record = run_episode(scenario, exploring, i_max, alpha_scale)
             rewards = assign_rewards(record, scenario)
             returns.append(sum(rewards))
             _push_episode(buffer, record.transitions, rewards, hyper.reward_scale)

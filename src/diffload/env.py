@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qoe import ContractError, Decision, DecisionEntry, e2e_latency, fitted_pai
-from .scenario import Scenario, ValidationError
-from .split import optimal_split
+from .costmodel import SplitTable
+from .qoe import ContractError, Decision, e2e_latency
+from .scenario import Scenario, ValidationError, fitted_pai, step_latency_local
 
 PENDING = 0
 IN_PROGRESS = 1
@@ -82,7 +82,7 @@ def reset(scenario: Scenario) -> EnvState:
     statuses[0] = IN_PROGRESS
     return EnvState(
         alphas=tuple(u.alpha for u in users),
-        step_latencies=tuple(u.device.step_slope + u.device.step_intercept for u in users),
+        step_latencies=tuple(step_latency_local(u.device) for u in users),
         request_slots=tuple(u.request_slot for u in users),
         statuses=tuple(statuses),
         user_ids=tuple(u.id for u in users),
@@ -213,19 +213,13 @@ def run_episode(scenario: Scenario, policy, i_max: int,
 
 
 def decision_from_state(state: EnvState, scenario: Scenario) -> Decision:
-    """Final grant/deny vector with splits from the inner solver."""
+    """Final grant/deny vector, in user-id order, with the optimal splits."""
     if not state.done:
         raise ContractError("episode has not terminated")
-    granted_ids = {state.user_ids[i] for i, s in enumerate(state.statuses) if s == GRANTED}
-    m = len(granted_ids)
-    entries = []
-    for user in scenario.users:
-        if user.id in granted_ids:
-            res = optimal_split(user, m, scenario.edge, scenario.pai)
-            entries.append(DecisionEntry(granted=True, split=res.split))
-        else:
-            entries.append(DecisionEntry(granted=False, split=scenario.pai.n_total))
-    return Decision(entries=entries)
+    grants = [False] * scenario.user_count
+    for user_id, status in zip(state.user_ids, state.statuses):
+        grants[user_id] = status == GRANTED
+    return SplitTable(scenario).decision(grants)
 
 
 def assign_rewards(episode: EpisodeRecord, scenario: Scenario) -> list[float]:

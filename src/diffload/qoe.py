@@ -1,7 +1,9 @@
-"""Latency model, accuracy curve, and the joint objective.
+"""End-to-end latency, per-user quality, and the joint objective.
 
 Every solver in this package is scored by :func:`objective`, which sums the
 per-user quality term ``alpha_i * F(n_i)`` minus the end-to-end latency.
+The per-step latencies and the accuracy curve F are defined in
+:mod:`diffload.scenario`, beside their parameters, and re-exported here.
 The objective mixes a dimensionless accuracy score with seconds; the alpha
 weights carry the conversion (seconds per accuracy unit), which the
 generator's sampling band guarantees.
@@ -12,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .scenario import DeviceProfile, EdgeConfig, PaiParams, Scenario, UserRequest
+from .scenario import (EdgeConfig, PaiParams, Scenario, UserRequest, fitted_pai, step_latency_edge,
+                       step_latency_local)
 
 
 class ContractError(RuntimeError):
@@ -46,21 +49,6 @@ class LatencyBreakdown:
         parts = self.rtt + self.uplink_downlink + self.edge_compute + self.local_compute
         if self.total != parts:
             raise ContractError(f"total {self.total} != sum of parts {parts}")
-
-
-def step_latency_local(device: DeviceProfile) -> float:
-    """Per-step latency of local inference (batch size 1)."""
-    return device.step_slope * 1.0 + device.step_intercept
-
-
-def step_latency_edge(device: DeviceProfile, batch: int, gpus: int) -> float:
-    """Per-step latency at the edge for a given batch spread over `gpus` GPUs."""
-    return device.step_slope * (batch / gpus) + device.step_intercept
-
-
-def fitted_pai(split: float, pai: PaiParams) -> float:
-    """Fitted accuracy curve F(n) = 1 / (1 + exp(-a_f * (n - b_f)))."""
-    return 1.0 / (1.0 + math.exp(-pai.a_f * (split - pai.b_f)))
 
 
 def compose_pai(clip_mean: float, lpips_mean: float, pai: PaiParams) -> float:

@@ -11,10 +11,13 @@ pairs. Because x is binary (x^2 = x), the linear term can be folded onto
 the diagonal of A, leaving a pure quadratic form; :func:`absorb_linear`
 performs that fold and :func:`eval_quadratic` evaluates either form.
 
-No solver uses it: branch and bound reads the same fixed-split values from
-:class:`diffload.costmodel.CostModel`. The form is an independent
-cross-check of the direct objective (acceptance criterion 2) and an export
-format.
+The form is a view of :class:`diffload.costmodel.CostModel`: D is the
+model's deny value and its grant value with no grant-count terms, and the
+coupling of user i is the part of its latency that grows by one share per
+granted user. No solver uses it; branch and bound reads the fixed-split
+values from the cost model directly. The form stays the cross-check of the
+direct scalar objective (acceptance criterion 2), since it sums the model
+in a different shape, and an export format.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .qoe import ContractError, fitted_pai, step_latency_local
+from .costmodel import CostModel
+from .qoe import ContractError
 from .scenario import Scenario
 
 DENY = 0
@@ -48,33 +52,18 @@ def build_quadratic(scenario: Scenario, fixed_split: int) -> QuadraticForm:
         raise ContractError(
             f"fixed_split {fixed_split} outside [{pai.n_min}, {pai.n_total}]")
     n_users = scenario.user_count
-    n = pai.n_total
-    f_deny = fitted_pai(n, pai)
-    f_grant = fitted_pai(fixed_split, pai)
-
-    linear = np.zeros((n_users, 2))
+    model = CostModel.from_scenario(scenario)
+    linear = np.empty((n_users, 2))
+    linear[:, DENY] = model.denied()
+    # At m = 0 a grant keeps only the terms that do not scale with the grant
+    # count: the wait, the local steps and the edge steps' intercept.
+    linear[:, GRANT] = model.granted(fixed_split, 0)[:, 0]
+    # Grant-grant couplings: user i's transfer and per-batch edge compute
+    # accrue once per granted user i' (including i' = i).
+    coupling = (model.payload / (edge.spectral_efficiency * edge.bandwidth_hz)
+                + (pai.n_total - fixed_split) * edge.device.step_slope / edge.gpus)
     quad = np.zeros((n_users, 2, n_users, 2))
-    cap = edge.spectral_efficiency * edge.bandwidth_hz
-    edge_cross = (n - fixed_split) * edge.device.step_slope / edge.gpus
-
-    for i, user in enumerate(scenario.users):
-        rtt = (edge.slots_per_interval - user.request_slot) * edge.slot_duration
-        local_step = step_latency_local(user.device)
-        # Accuracy term
-        c_deny = user.alpha * f_deny
-        c_grant = user.alpha * f_grant
-        # Grant-count-independent latency pieces
-        d_local_deny = n * local_step
-        d_local_grant = fixed_split * local_step
-        d_edge_grant = (n - fixed_split) * edge.device.step_intercept
-        linear[i, DENY] = c_deny - (d_local_deny + 0.0 + rtt)
-        linear[i, GRANT] = c_grant - (d_local_grant + d_edge_grant + rtt)
-        # Grant-grant couplings: user i's transfer and per-batch edge compute
-        # accrue once per granted user i' (including i' = i).
-        transfer = (user.prompt_bits + user.intermediate_bits) / cap
-        for j in range(n_users):
-            quad[j, GRANT, i, GRANT] = transfer + edge_cross
-
+    quad[:, GRANT, :, GRANT] = coupling
     return QuadraticForm(linear=linear, quadratic=quad, fixed_split=fixed_split)
 
 

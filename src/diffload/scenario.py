@@ -3,7 +3,10 @@
 A :class:`Scenario` is one decision round: a set of users that sent
 offloading requests during the interval, the edge server configuration,
 and the parameters of the accuracy curve. Scenarios are plain values;
-generation and (de)serialization are deterministic given a seed.
+generation and (de)serialization are deterministic given a seed. The
+model's primitives sit beside the parameters they read: the per-step
+latencies :func:`step_latency_local` and :func:`step_latency_edge`, and the
+fitted accuracy curve :func:`fitted_pai`.
 
 Units are SI throughout: seconds, bits, Hz. The request timeline is
 discretized into ``slots_per_interval`` slots of ``slot_duration`` seconds
@@ -39,8 +42,10 @@ class DeviceProfile:
     step_intercept: float  # seconds, fixed cost per denoising step
 
     def __post_init__(self):
-        _require(self.step_slope >= 0, "step_slope", f"must be >= 0, got {self.step_slope}")
-        _require(self.step_intercept > 0, "step_intercept", f"must be > 0, got {self.step_intercept}")
+        _require(0 <= self.step_slope < math.inf, "step_slope",
+                 f"must be finite and >= 0, got {self.step_slope}")
+        _require(0 < self.step_intercept < math.inf, "step_intercept",
+                 f"must be finite and > 0, got {self.step_intercept}")
 
 
 @dataclass(frozen=True)
@@ -54,10 +59,11 @@ class UserRequest:
     alpha_clamped: bool = False  # set by the generator when the alpha band was degenerate
 
     def __post_init__(self):
-        _require(self.alpha > 0, "alpha", f"must be > 0, got {self.alpha}")
-        _require(self.prompt_bits > 0, "prompt_bits", f"must be > 0, got {self.prompt_bits}")
-        _require(self.intermediate_bits > 0, "intermediate_bits",
-                 f"must be > 0, got {self.intermediate_bits}")
+        _require(0 < self.alpha < math.inf, "alpha", f"must be finite and > 0, got {self.alpha}")
+        _require(0 < self.prompt_bits < math.inf, "prompt_bits",
+                 f"must be finite and > 0, got {self.prompt_bits}")
+        _require(0 < self.intermediate_bits < math.inf, "intermediate_bits",
+                 f"must be finite and > 0, got {self.intermediate_bits}")
         _require(self.request_slot >= 1, "request_slot",
                  f"must be >= 1, got {self.request_slot}")
 
@@ -77,10 +83,12 @@ class EdgeConfig:
         _require(self.b_max >= 0, "b_max", f"must be >= 0, got {self.b_max}")
         _require(self.slots_per_interval >= 1, "slots_per_interval",
                  f"must be >= 1, got {self.slots_per_interval}")
-        _require(self.slot_duration > 0, "slot_duration", f"must be > 0, got {self.slot_duration}")
-        _require(self.bandwidth_hz > 0, "bandwidth_hz", f"must be > 0, got {self.bandwidth_hz}")
-        _require(self.spectral_efficiency > 0, "spectral_efficiency",
-                 f"must be > 0, got {self.spectral_efficiency}")
+        _require(0 < self.slot_duration < math.inf, "slot_duration",
+                 f"must be finite and > 0, got {self.slot_duration}")
+        _require(0 < self.bandwidth_hz < math.inf, "bandwidth_hz",
+                 f"must be finite and > 0, got {self.bandwidth_hz}")
+        _require(0 < self.spectral_efficiency < math.inf, "spectral_efficiency",
+                 f"must be finite and > 0, got {self.spectral_efficiency}")
 
 
 @dataclass(frozen=True)
@@ -103,15 +111,33 @@ class PaiParams:
     sigma_b: float = 0.1
 
     def __post_init__(self):
+        for name in ("b_f", "kappa_pai", "sigma_a", "sigma_b"):
+            _require(math.isfinite(getattr(self, name)), name,
+                     f"must be finite, got {getattr(self, name)}")
         _require(0 < self.n_min < self.n_total, "n_min",
                  f"need 0 < n_min < n_total, got {self.n_min}, {self.n_total}")
-        _require(self.a_f > 0, "a_f", f"must be > 0, got {self.a_f}")
+        _require(0 < self.a_f < math.inf, "a_f", f"must be finite and > 0, got {self.a_f}")
         # The curve is increasing, so F > 0.5 on the whole domain iff it holds
         # at the left endpoint. The split-point problem is only concave under
         # this condition.
-        f_min = 1.0 / (1.0 + math.exp(-self.a_f * (self.n_min - self.b_f)))
+        f_min = fitted_pai(self.n_min, self)
         _require(f_min > 0.5, "b_f",
                  f"fitted curve must exceed 0.5 on [n_min, n_total]; F({self.n_min}) = {f_min}")
+
+
+def step_latency_local(device: DeviceProfile) -> float:
+    """Per-step latency of local inference (batch size 1)."""
+    return device.step_slope * 1.0 + device.step_intercept
+
+
+def step_latency_edge(device: DeviceProfile, batch: int, gpus: int) -> float:
+    """Per-step latency at the edge for a given batch spread over `gpus` GPUs."""
+    return device.step_slope * (batch / gpus) + device.step_intercept
+
+
+def fitted_pai(split: float, pai: PaiParams) -> float:
+    """Fitted accuracy curve F(n) = 1 / (1 + exp(-a_f * (n - b_f)))."""
+    return 1.0 / (1.0 + math.exp(-pai.a_f * (split - pai.b_f)))
 
 
 @dataclass(frozen=True)
@@ -191,8 +217,8 @@ class GeneratorConfig:
         _require(0 < self.alpha_kappa <= 1, "alpha_kappa",
                  f"must be in (0, 1], got {self.alpha_kappa}")
         _require(self.alpha_bhat >= 1, "alpha_bhat", f"must be >= 1, got {self.alpha_bhat}")
-        _require(self.alpha_floor_delta > 0, "alpha_floor_delta",
-                 f"must be > 0, got {self.alpha_floor_delta}")
+        _require(0 < self.alpha_floor_delta < math.inf, "alpha_floor_delta",
+                 f"must be finite and > 0, got {self.alpha_floor_delta}")
         for dev, w in self.device_catalog:
             _require(w > 0, "device_catalog", f"weight for {dev.name} must be > 0, got {w}")
 
@@ -213,15 +239,10 @@ def alpha_band(device: DeviceProfile, cfg: GeneratorConfig, edge: EdgeConfig,
                 pai: PaiParams) -> tuple[float, float, bool]:
     """Alpha sampling interval for one device; third element flags the clamp path."""
     gpus = cfg.alpha_ref_gpus if cfg.alpha_ref_gpus is not None else edge.gpus
-    local = device.step_slope + device.step_intercept
-    at_edge = edge.device.step_slope * (cfg.alpha_bhat / gpus) + edge.device.step_intercept
-    delta = local - at_edge
-
-    def f(n):
-        return 1.0 / (1.0 + math.exp(-pai.a_f * (n - pai.b_f)))
-
-    lo_den = pai.a_f * f(pai.n_min) * (1.0 - f(pai.n_min))
-    hi_den = pai.a_f * f(pai.n_total) * (1.0 - f(pai.n_total))
+    delta = step_latency_local(device) - step_latency_edge(edge.device, cfg.alpha_bhat, gpus)
+    f_lo, f_hi = fitted_pai(pai.n_min, pai), fitted_pai(pai.n_total, pai)
+    lo_den = pai.a_f * f_lo * (1.0 - f_lo)
+    hi_den = pai.a_f * f_hi * (1.0 - f_hi)
     if delta <= 0:
         # Local inference is already at least as fast as the edge at the
         # assumed batch; the trade-off band is empty. Fall back to the band's
@@ -315,6 +336,9 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 
 def scenario_from_dict(obj: dict) -> Scenario:
+    """Build a scenario from its JSON layout; every malformed input is a ValidationError."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"scenario file must hold a JSON object, got {type(obj).__name__}")
     try:
         edge_obj = obj["edge"]
         edge = EdgeConfig(
@@ -351,6 +375,10 @@ def scenario_from_dict(obj: dict) -> Scenario:
         return Scenario(users=users, edge=edge, pai=pai, seed=int(obj["seed"]))
     except KeyError as e:
         raise ValidationError(f"missing field {e.args[0]!r} in scenario file") from e
+    except ValidationError:
+        raise
+    except (TypeError, ValueError, AttributeError, OverflowError) as e:
+        raise ValidationError(f"malformed scenario file ({e})") from e
 
 
 def save_scenario(s: Scenario, path: str | Path) -> None:
@@ -363,4 +391,6 @@ def load_scenario(path: str | Path) -> Scenario:
         obj = json.loads(path.read_text())
     except json.JSONDecodeError as e:
         raise ValidationError(f"{path}: not valid JSON at line {e.lineno}: {e.msg}") from e
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"{path}: not valid JSON ({e})") from e
     return scenario_from_dict(obj)

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qoe import DecisionEntry, fitted_pai, step_latency_edge, step_latency_local, user_qoe
-from .scenario import EdgeConfig, PaiParams, UserRequest
+from .qoe import DecisionEntry, user_qoe
+from .scenario import (EdgeConfig, PaiParams, UserRequest, fitted_pai, step_latency_edge,
+                       step_latency_local)
 
 LOCAL_DOMINATES = "local-dominates"
 PAI_SATURATED = "pai-saturated"

@@ -24,7 +24,8 @@ import numpy as np
 from . import baselines
 from .dqn import TrainedPolicy, greedy_solve
 from .qoe import Decision, e2e_latency, fitted_pai, objective
-from .scenario import EdgeConfig, GeneratorConfig, PaiParams, Scenario, ValidationError, generate_scenario
+from .scenario import (EdgeConfig, GeneratorConfig, PaiParams, Scenario, ValidationError,
+                       default_edge, generate_scenario)
 
 REPORT_HEADER = ["solver", "axis", "axis_value", "case_seed", "objective",
                  "mean_pai_term", "mean_e2e_latency_s", "decision_time_s",
@@ -91,9 +92,7 @@ def case_seed(master_seed: int, case_index: int) -> int:
 
 def scenario_for_case(cfg: ExperimentConfig, axis_value: int, case_index: int) -> Scenario:
     generator = cfg.generator
-    edge = cfg.edge if cfg.edge is not None else None
-    from .scenario import default_edge  # local import avoids a cycle at module load
-    edge = edge if edge is not None else default_edge()
+    edge = cfg.edge if cfg.edge is not None else default_edge()
     pai = cfg.pai if cfg.pai is not None else PaiParams()
     if generator is None:
         generator = GeneratorConfig(user_count=20)

@@ -108,6 +108,55 @@ def test_solve_exhaustive_on_too_many_users_is_clean_error(tmp_path, capsys):
     assert not (tmp_path / "d.json").exists()
 
 
+def solve_malformed(tmp_path, scenario_file, capsys, edit):
+    """Solve a copy of the scenario file changed by `edit`; return (exit code, stderr)."""
+    obj = json.loads(scenario_file.read_text())
+    obj = edit(obj) or obj
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(obj))
+    code = run(["solve", path, "--solver", "oracle", "-o", tmp_path / "d.json"])
+    return code, capsys.readouterr().err
+
+
+def test_solve_non_numeric_field_is_clean_error(tmp_path, scenario_file, capsys):
+    code, err = solve_malformed(tmp_path, scenario_file, capsys,
+                                lambda obj: obj["edge"].update(bandwidth_hz="wide"))
+    assert code == 2 and err.startswith("error:") and "malformed scenario file" in err
+
+
+def test_solve_null_users_is_clean_error(tmp_path, scenario_file, capsys):
+    code, err = solve_malformed(tmp_path, scenario_file, capsys,
+                                lambda obj: obj.update(users=None))
+    assert code == 2 and err.startswith("error:") and "malformed scenario file" in err
+
+
+def test_solve_top_level_array_is_clean_error(tmp_path, scenario_file, capsys):
+    code, err = solve_malformed(tmp_path, scenario_file, capsys, lambda obj: [obj])
+    assert code == 2 and err.startswith("error:") and "JSON object" in err
+
+
+def test_solve_undecodable_file_is_clean_error(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert run(["solve", path, "--solver", "oracle", "-o", tmp_path / "d.json"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_solve_infinite_device_slope_is_clean_error(tmp_path, scenario_file, capsys):
+    code, err = solve_malformed(tmp_path, scenario_file, capsys,
+                                lambda obj: obj["users"][0]["device"].update(
+                                    step_slope=float("inf")))
+    assert code == 2 and err.startswith("error: step_slope: must be finite")
+    assert not (tmp_path / "d.json").exists()
+
+
+def test_solve_infinite_alpha_is_clean_error(tmp_path, scenario_file, capsys):
+    code, err = solve_malformed(tmp_path, scenario_file, capsys,
+                                lambda obj: obj["users"][0].update(alpha=float("inf")))
+    assert code == 2 and err.startswith("error: alpha: must be finite")
+    assert not (tmp_path / "d.json").exists()
+
+
 # -- train ----------------------------------------------------------------------
 
 def test_train_specific_writes_policy_and_curve(tmp_path, scenario_file):
@@ -186,6 +235,27 @@ def test_train_deterministic_bytes(tmp_path, scenario_file):
              "--scenario", scenario_file, "-o", out])
     assert a.read_bytes() == b.read_bytes()
     assert a.with_suffix(".curve.csv").read_bytes() == b.with_suffix(".curve.csv").read_bytes()
+
+
+def test_train_files_keep_their_bytes(tmp_path, scenario_file):
+    # SHA-256 of a 30-episode specific-scope run (75 train steps) and of two
+    # generated scenarios, as written before the environment, the generator
+    # and the quadratic form were moved onto the cost model (x86-64 Linux,
+    # CPython 3.11, numpy 2.4).
+    policy = tmp_path / "policy.json"
+    assert run(["train", "--scope", "specific", "--seed", 5, "--episodes", 30,
+                "--scenario", scenario_file, "-o", policy]) == 0
+    other = tmp_path / "other.json"
+    assert run(["generate", "--seed", 3, "--users", 25, "--gpus", 4, "--b-max", 9,
+                "-o", other]) == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in (scenario_file, other, policy, policy.with_suffix(".curve.csv"))}
+    assert digests == {
+        "scenario.json": "0eb27fdee9f1294c43bd5153446c3096454a4a94361889b8ba90427266875d14",
+        "other.json": "d79c0f29ab03c0dca32ed85ae427cccc9f168305325b2fa5d60c12d3c553086a",
+        "policy.json": "39c03d1120c8347aea955fc63228038dfef344b4528e11a6adb15a28d25b1d7b",
+        "policy.curve.csv": "ef2c5006717a825c36064fd90f680e6f4da34fa97121400513e34ecfbcd8fe99",
+    }
 
 
 # -- sweep / plot -----------------------------------------------------------------

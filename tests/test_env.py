@@ -15,8 +15,10 @@ from diffload.env import (
     run_episode,
     step,
 )
-from diffload.qoe import ContractError, fitted_pai, objective, validate_decision
+from diffload.qoe import (ContractError, Decision, DecisionEntry, fitted_pai, objective,
+                          validate_decision)
 from diffload.scenario import GeneratorConfig, ValidationError, default_edge, generate_scenario
+from diffload.split import optimal_split
 
 
 def make_scenario(seed=0, users=5, b_max=16, gpus=8):
@@ -242,6 +244,35 @@ def test_final_decision_always_feasible():
                              i_max=scenario.user_count)
         decision = decision_from_state(record.final_state, scenario)
         validate_decision(scenario, decision)  # raises on any violation
+
+
+def per_user_decision(state, scenario):
+    """The per-user split loop that `decision_from_state` replaced, kept as its reference."""
+    granted_ids = {state.user_ids[i] for i, s in enumerate(state.statuses) if s == GRANTED}
+    m = len(granted_ids)
+    entries = []
+    for user in scenario.users:
+        if user.id in granted_ids:
+            res = optimal_split(user, m, scenario.edge, scenario.pai)
+            entries.append(DecisionEntry(granted=True, split=res.split))
+        else:
+            entries.append(DecisionEntry(granted=False, split=scenario.pai.n_total))
+    return Decision(entries=entries)
+
+
+def test_decision_from_state_matches_per_user_split_loop():
+    rng = np.random.default_rng(12)
+    for trial in range(150):
+        users = int(rng.integers(1, 40))
+        scenario = make_scenario(seed=200 + trial, users=users, b_max=int(rng.integers(1, 20)),
+                                 gpus=int(rng.integers(1, 17)))
+        grant_rate = rng.uniform()
+        record = run_episode(scenario, lambda f: int(rng.uniform() < grant_rate), i_max=users)
+        decision = decision_from_state(record.final_state, scenario)
+        reference = per_user_decision(record.final_state, scenario)
+        assert decision == reference
+        assert [type(e.granted) for e in decision.entries] == [bool] * users
+        assert [type(e.split) for e in decision.entries] == [int] * users
 
 
 def test_rewards_require_complete_episode():
