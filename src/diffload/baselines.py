@@ -225,16 +225,6 @@ def solve_bnb(scenario: Scenario, stats: BnbStats | None = None) -> Decision:
     return Decision(entries=entries)
 
 
-def fixed_split_value(scenario: Scenario, grants, split: int) -> float:
-    """Objective with all granted splits pinned; used by fixed-split oracles."""
-    deny, grant, _ = _fixed_split_tables(scenario, split)
-    m = int(sum(bool(x) for x in grants))
-    total = 0.0
-    for i, x in enumerate(grants):
-        total += grant[i, m] if x else deny[i]
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Exact oracles
 # ---------------------------------------------------------------------------

@@ -18,8 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines
+from .costmodel import CostModel
 from .dqn import ScenarioSource, TrainHyper, greedy_solve, load_policy, save_policy, train
-from .qoe import ContractError, Decision, e2e_latency, fitted_pai, objective
+from .qoe import ContractError, Decision, objective
 from .scenario import (
     GeneratorConfig,
     PaiParams,
@@ -117,29 +118,21 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _decision_dict(scenario: Scenario, decision: Decision, solver: str) -> dict:
-    m = decision.grant_count
-    entries = []
-    for user, entry in zip(scenario.users, decision.entries):
-        lat = e2e_latency(user, entry, m, scenario.edge, scenario.pai.n_total)
-        entries.append({
-            "user_id": user.id,
-            "granted": entry.granted,
-            "split": entry.split,
-            "pai_term": user.alpha * fitted_pai(entry.split, scenario.pai),
-            "latency": {
-                "rtt": lat.rtt,
-                "uplink_downlink": lat.uplink_downlink,
-                "edge_compute": lat.edge_compute,
-                "local_compute": lat.local_compute,
-                "total": lat.total,
-            },
-        })
+LATENCY_PARTS = ("rtt", "uplink_downlink", "edge_compute", "local_compute", "total")
+
+
+def _decision_dict(scenario: Scenario, decision: Decision, solver: str, obj: float) -> dict:
+    parts = CostModel.from_scenario(scenario).breakdown(decision)
+    rows = zip(scenario.users, decision.entries, parts.pai_term.tolist(),
+               zip(*(getattr(parts, name).tolist() for name in LATENCY_PARTS)))
+    entries = [{"user_id": user.id, "granted": entry.granted, "split": entry.split,
+                "pai_term": pai_term, "latency": dict(zip(LATENCY_PARTS, latency))}
+               for user, entry, pai_term, latency in rows]
     return {
         "solver": solver,
         "scenario_seed": scenario.seed,
-        "objective": objective(scenario, decision),
-        "grant_count": m,
+        "objective": obj,
+        "grant_count": decision.grant_count,
         "entries": entries,
     }
 
@@ -154,7 +147,7 @@ def cmd_solve(args) -> int:
         decision = baselines.SOLVERS[args.solver](scenario, rng=rng)
     obj = objective(scenario, decision)  # raises on infeasible output: a solver bug
     path = _resolve(args, "out", "decision.json")
-    path.write_text(json.dumps(_decision_dict(scenario, decision, args.solver),
+    path.write_text(json.dumps(_decision_dict(scenario, decision, args.solver, obj),
                                indent=2) + "\n")
     print(f"{args.solver}: objective={obj!r} grants={decision.grant_count} -> {path}")
     return 0

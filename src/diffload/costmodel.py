@@ -1,13 +1,13 @@
 """The latency/accuracy model over all users at once.
 
 :class:`CostModel` holds a scenario as per-user vectors and evaluates the
-model of :mod:`diffload.qoe` on whole (user, grant count) grids. Every
-value is computed with the operations of the scalar :func:`qoe.user_qoe`
-in the same order, and the accuracy curve is tabulated with
-:func:`scenario.fitted_pai` itself, so each grid cell equals the scalar
-value bit for bit; the scalar functions stay the reference the tests
-compare against. Optimal splits follow the case analysis of
-:func:`split.optimal_split`, with the interior root in closed form.
+model of :mod:`diffload.qoe` on whole (user, grant count) grids, or for one
+decision as each user's :class:`Breakdown`. Every value is computed with
+the operations of the scalar :func:`qoe.e2e_latency` in the same order and
+the accuracy curve is tabulated with :func:`scenario.fitted_pai` itself, so
+each cell equals the scalar reference bit for bit. Optimal splits follow
+the case analysis of the reference :func:`split.optimal_split`, with the
+interior root in closed form.
 
 :class:`SplitTable` fills those grids once per scenario and serves every
 decision that needs optimal splits: the oracles, the baselines, the
@@ -17,12 +17,48 @@ genetic algorithm and the decision environment.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .qoe import ContractError, Decision, DecisionEntry
 from .scenario import EdgeConfig, PaiParams, Scenario, fitted_pai, step_latency_local
-from .split import stationary_point
+
+
+@lru_cache(maxsize=8)
+def _accuracy_table(pai: PaiParams) -> np.ndarray:
+    """Read-only F(0..n_total), once per PaiParams; built with the scalar fitted_pai
+    because np.exp differs from math.exp in the last bit."""
+    table = np.array([fitted_pai(n, pai) for n in range(pai.n_total + 1)])
+    table.setflags(write=False)
+    return table
+
+
+def stationary_point(alpha, delta, pai: PaiParams):
+    """The split n > b_f at which the marginal accuracy rate equals `delta`.
+
+    The rate is alpha * a_f * F(n)(1 - F(n)), so F(1 - F) = c with
+    c = delta / (alpha * a_f) gives the upper branch
+    F* = (1 + sqrt(1 - 4c)) / 2, and n* = b_f + logit(F*) / a_f. Since
+    1 - F* = c / F*, the logit is log(F*^2 / c), which avoids the
+    cancellation in 1 - F* when c is small. Requires 0 < c <= 1/4, which
+    holds whenever the rate at n_min exceeds delta > 0; takes scalars or
+    arrays alike.
+    """
+    c = delta / (alpha * pai.a_f)
+    f = (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * c, 0.0))) / 2.0
+    return pai.b_f + np.log(f * f / c) / pai.a_f
+
+
+@dataclass(frozen=True)
+class Breakdown:
+    """Per-user terms of the objective under one decision, in user order."""
+    pai_term: np.ndarray         # alpha * F(split)
+    rtt: np.ndarray              # wait from request slot to end of decision interval
+    uplink_downlink: np.ndarray  # prompt up + intermediate result down
+    edge_compute: np.ndarray     # offloaded denoising steps
+    local_compute: np.ndarray    # local denoising steps
+    total: np.ndarray            # end-to-end latency
 
 
 @dataclass(frozen=True)
@@ -33,7 +69,7 @@ class CostModel:
     local_step: np.ndarray  # (I,) per-step local latency
     rtt: np.ndarray         # (I,) wait from request slot to end of decision interval
     payload: np.ndarray     # (I,) prompt plus intermediate bits moved per grant
-    accuracy: np.ndarray    # (n_total + 1,) F(n) at every integer split
+    accuracy: np.ndarray    # (n_total + 1,) F(n) at every integer split, read-only
 
     @classmethod
     def from_scenario(cls, scenario: Scenario) -> "CostModel":
@@ -46,8 +82,7 @@ class CostModel:
             local_step=np.array([step_latency_local(u.device) for u in users], dtype=float),
             rtt=(edge.slots_per_interval - slots) * edge.slot_duration,
             payload=np.array([u.prompt_bits + u.intermediate_bits for u in users], dtype=float),
-            accuracy=np.array([fitted_pai(n, scenario.pai)
-                               for n in range(scenario.pai.n_total + 1)]),
+            accuracy=_accuracy_table(scenario.pai),
         )
 
     def edge_step(self, m):
@@ -67,11 +102,25 @@ class CostModel:
         is (I, k), users along the first axis.
         """
         m = np.asarray(m)
-        return self._granted(np.asarray(split), self._rtt_and_transfer(m), self.edge_step(m))
+        return self._granted(np.asarray(split), self.rtt[:, None] + self._transfer(m),
+                             self.edge_step(m))
 
-    def _rtt_and_transfer(self, m: np.ndarray) -> np.ndarray:
-        """The split-independent head of a granted user's latency sum."""
-        return self.rtt[:, None] + self.payload[:, None] * m / (
+    def breakdown(self, decision: Decision) -> Breakdown:
+        """Each user's accuracy term and latency parts (summed as in qoe.e2e_latency)
+        under a feasible decision."""
+        granted = np.array([e.granted for e in decision.entries], dtype=bool)
+        split = np.array([e.split for e in decision.entries], dtype=np.int64)
+        m = np.count_nonzero(granted)
+        transfer = np.where(granted, self._transfer(m)[:, 0], 0.0)
+        edge_c = np.where(granted, (self.pai.n_total - split) * self.edge_step(m), 0.0)
+        local = split * self.local_step
+        return Breakdown(pai_term=self.alpha * self.accuracy[split], rtt=self.rtt,
+                         uplink_downlink=transfer, edge_compute=edge_c, local_compute=local,
+                         total=self.rtt + transfer + edge_c + local)
+
+    def _transfer(self, m) -> np.ndarray:
+        """(I, k) uplink plus downlink latency in a round of m grants; m is (k,) or a scalar."""
+        return self.payload[:, None] * m / (
             self.edge.spectral_efficiency * self.edge.bandwidth_hz)
 
     def _granted(self, split: np.ndarray, head: np.ndarray, edge_step) -> np.ndarray:
@@ -101,7 +150,7 @@ class CostModel:
         root = stationary_point(alpha[interior], delta[interior], pai)
         lo[interior] = np.clip(np.floor(root), pai.n_min, pai.n_total)
         hi = np.where(interior, np.minimum(lo + 1, pai.n_total), lo)
-        head = self._rtt_and_transfer(m)
+        head = self.rtt[:, None] + self._transfer(m)  # the split-independent part
         v_lo, v_hi = self._granted(lo, head, edge_step), self._granted(hi, head, edge_step)
         take_hi = v_hi > v_lo
         return np.where(take_hi, hi, lo), np.where(take_hi, v_hi, v_lo)
@@ -126,9 +175,6 @@ class SplitTable:
         """(optimal split, QoE) for user granted within a round of m grants."""
         self._check_count(m)
         return int(self.splits[user_idx, m - 1]), float(self.values[user_idx, m - 1])
-
-    def denied(self, user_idx: int) -> float:
-        return float(self.deny[user_idx])
 
     def _check_count(self, m: int) -> None:
         if not 1 <= m <= self.cap:

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costmodel import SplitTable
-from .qoe import ContractError, Decision, e2e_latency
-from .scenario import Scenario, ValidationError, fitted_pai, step_latency_local
+from .costmodel import CostModel, SplitTable, sequential_sum
+from .qoe import ContractError, Decision
+from .scenario import Scenario, ValidationError, step_latency_local
 
 PENDING = 0
 IN_PROGRESS = 1
@@ -232,27 +232,13 @@ def assign_rewards(episode: EpisodeRecord, scenario: Scenario) -> list[float]:
     """
     if not episode.complete:
         raise ContractError("cannot assign rewards before the episode completes")
-    state = episode.final_state
-    decision = decision_from_state(state, scenario)
-    m = decision.grant_count
-    pai_terms = {}
-    latency_total = 0.0
-    for user, entry in zip(scenario.users, decision.entries):
-        pai_terms[user.id] = user.alpha * fitted_pai(entry.split, scenario.pai)
-        latency_total += e2e_latency(user, entry, m, scenario.edge,
-                                     scenario.pai.n_total).total
-
-    rewards = []
+    decision = decision_from_state(episode.final_state, scenario)
+    parts = CostModel.from_scenario(scenario).breakdown(decision)
+    pai_terms = parts.pai_term.tolist()  # indexed by user id
     handled = episode.handled_order
-    for t, user_id in enumerate(handled):
-        if t < len(handled) - 1:
-            rewards.append(pai_terms[user_id])
-        else:
-            # Terminal step: this user's credit, plus users never visited
-            # because the cap auto-denied them, minus all latency.
-            visited = set(handled[:-1])
-            tail = sum(v for uid, v in pai_terms.items() if uid not in visited)
-            rewards.append(tail - latency_total)
+    visited = set(handled[:-1])
+    tail = sum(v for uid, v in enumerate(pai_terms) if uid not in visited)
+    rewards = [pai_terms[uid] for uid in handled[:-1]] + [tail - sequential_sum(parts.total)]
     episode.decision = decision
     episode.rewards = rewards
     return rewards

@@ -335,6 +335,21 @@ def scenario_to_dict(s: Scenario) -> dict:
     }
 
 
+def _integer(value, name: str) -> int:
+    """An integer field: an integral JSON number that is not a boolean."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ValidationError(f"{name}: must be an integer, got {value!r}")
+    return int(value)
+
+
+def _flag(value, name: str) -> bool:
+    """A flag field: JSON true or false."""
+    if not isinstance(value, bool):
+        raise ValidationError(f"{name}: must be true or false, got {value!r}")
+    return value
+
+
 def scenario_from_dict(obj: dict) -> Scenario:
     """Build a scenario from its JSON layout; every malformed input is a ValidationError."""
     if not isinstance(obj, dict):
@@ -342,18 +357,19 @@ def scenario_from_dict(obj: dict) -> Scenario:
     try:
         edge_obj = obj["edge"]
         edge = EdgeConfig(
-            gpus=int(edge_obj["gpus"]),
+            gpus=_integer(edge_obj["gpus"], "edge.gpus"),
             device=_device_from_dict(edge_obj["device"], "edge.device"),
-            b_max=int(edge_obj["b_max"]),
-            slots_per_interval=int(edge_obj["slots_per_interval"]),
+            b_max=_integer(edge_obj["b_max"], "edge.b_max"),
+            slots_per_interval=_integer(edge_obj["slots_per_interval"],
+                                        "edge.slots_per_interval"),
             slot_duration=float(edge_obj["slot_duration"]),
             bandwidth_hz=float(edge_obj["bandwidth_hz"]),
             spectral_efficiency=float(edge_obj["spectral_efficiency"]),
         )
         pai_obj = obj["pai"]
         pai = PaiParams(
-            n_total=int(pai_obj["n_total"]),
-            n_min=int(pai_obj["n_min"]),
+            n_total=_integer(pai_obj["n_total"], "pai.n_total"),
+            n_min=_integer(pai_obj["n_min"], "pai.n_min"),
             a_f=float(pai_obj["a_f"]),
             b_f=float(pai_obj["b_f"]),
             kappa_pai=float(pai_obj["kappa_pai"]),
@@ -362,17 +378,17 @@ def scenario_from_dict(obj: dict) -> Scenario:
         )
         users = [
             UserRequest(
-                id=int(u["id"]),
+                id=_integer(u["id"], f"users[{j}].id"),
                 device=_device_from_dict(u["device"], f"users[{j}].device"),
                 alpha=float(u["alpha"]),
-                request_slot=int(u["request_slot"]),
+                request_slot=_integer(u["request_slot"], f"users[{j}].request_slot"),
                 prompt_bits=float(u["prompt_bits"]),
                 intermediate_bits=float(u["intermediate_bits"]),
-                alpha_clamped=bool(u.get("alpha_clamped", False)),
+                alpha_clamped=_flag(u.get("alpha_clamped", False), f"users[{j}].alpha_clamped"),
             )
             for j, u in enumerate(obj["users"])
         ]
-        return Scenario(users=users, edge=edge, pai=pai, seed=int(obj["seed"]))
+        return Scenario(users=users, edge=edge, pai=pai, seed=_integer(obj["seed"], "seed"))
     except KeyError as e:
         raise ValidationError(f"missing field {e.args[0]!r} in scenario file") from e
     except ValidationError:

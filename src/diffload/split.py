@@ -1,4 +1,4 @@
-"""Exact solver for the per-user split-point problem.
+"""Scalar reference solver for the per-user split-point problem.
 
 Given a grant count m, a granted user's quality-of-experience as a function
 of the split point n is
@@ -9,16 +9,18 @@ which is strictly concave on [n_min, n_total] because F > 0.5 there. The
 derivative of the accuracy term is g(n) = alpha * a_f * F(n) * (1 - F(n)),
 strictly decreasing on the domain, so the stationarity condition
 g(n) = delta, with delta = L_local - L_edge, has at most one root. It
-inverts in closed form (:func:`stationary_point`), and the integer optimum
-is the floor or the ceiling of that root by concavity.
+inverts in closed form (:func:`costmodel.stationary_point`), and the
+integer optimum is the floor or the ceiling of that root by concavity.
+
+This is the scalar reference: no solver calls it, and the tests hold
+:class:`costmodel.CostModel`, which solves all users at once, to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from .costmodel import stationary_point
 from .qoe import DecisionEntry, user_qoe
 from .scenario import (EdgeConfig, PaiParams, UserRequest, fitted_pai, step_latency_edge,
                        step_latency_local)
@@ -41,20 +43,6 @@ def marginal_pai_rate(n: float, alpha: float, pai: PaiParams) -> float:
     """Marginal accuracy gain per extra local step: alpha * a_f * F(n)(1 - F(n))."""
     f = fitted_pai(n, pai)
     return alpha * pai.a_f * f * (1.0 - f)
-
-
-def stationary_point(alpha, delta, pai: PaiParams):
-    """The split n > b_f at which marginal_pai_rate(n) equals `delta`.
-
-    F(1 - F) = c with c = delta / (alpha * a_f) gives the upper branch
-    F* = (1 + sqrt(1 - 4c)) / 2, and n* = b_f + logit(F*) / a_f. Since
-    1 - F* = c / F*, the logit is log(F*^2 / c), which avoids the
-    cancellation in 1 - F* when c is small. Requires 0 < c <= 1/4, which
-    holds whenever g(n_min) > delta > 0; takes scalars or arrays alike.
-    """
-    c = delta / (alpha * pai.a_f)
-    f = (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * c, 0.0))) / 2.0
-    return pai.b_f + np.log(f * f / c) / pai.a_f
 
 
 def optimal_split(user: UserRequest, granted_count: int, edge: EdgeConfig,

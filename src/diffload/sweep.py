@@ -22,8 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines
+from .costmodel import CostModel, sequential_sum
 from .dqn import TrainedPolicy, greedy_solve
-from .qoe import Decision, e2e_latency, fitted_pai, objective
+from .qoe import Decision, objective
 from .scenario import (EdgeConfig, GeneratorConfig, PaiParams, Scenario, ValidationError,
                        default_edge, generate_scenario)
 
@@ -107,15 +108,10 @@ def scenario_for_case(cfg: ExperimentConfig, axis_value: int, case_index: int) -
 
 
 def decision_summary(scenario: Scenario, decision: Decision) -> tuple[float, float, float]:
-    """(objective, mean accuracy term, mean end-to-end latency)."""
-    m = decision.grant_count
-    pai_sum = 0.0
-    lat_sum = 0.0
-    for user, entry in zip(scenario.users, decision.entries):
-        pai_sum += user.alpha * fitted_pai(entry.split, scenario.pai)
-        lat_sum += e2e_latency(user, entry, m, scenario.edge, scenario.pai.n_total).total
-    n = scenario.user_count
-    return pai_sum - lat_sum, pai_sum / n, lat_sum / n
+    """(objective, mean accuracy term, mean end-to-end latency) of a feasible decision."""
+    parts = CostModel.from_scenario(scenario).breakdown(decision)
+    pai_sum, lat_sum = sequential_sum(parts.pai_term), sequential_sum(parts.total)
+    return pai_sum - lat_sum, pai_sum / scenario.user_count, lat_sum / scenario.user_count
 
 
 def _solve(solver: str, scenario: Scenario, cfg: ExperimentConfig,
@@ -135,8 +131,8 @@ def run_sweep(cfg: ExperimentConfig) -> list[ReportRow]:
                 started = time.perf_counter() if cfg.timing else 0.0
                 decision = _solve(solver, scenario, cfg, seed)
                 elapsed = time.perf_counter() - started if cfg.timing else 0.0
-                obj, mean_pai, mean_lat = decision_summary(scenario, decision)
                 check = objective(scenario, decision)  # feasibility + value trap
+                obj, mean_pai, mean_lat = decision_summary(scenario, decision)
                 if not math.isclose(obj, check, rel_tol=1e-9, abs_tol=1e-9):
                     raise RuntimeError(
                         f"inconsistent objective for {solver} on case seed {seed}")

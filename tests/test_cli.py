@@ -88,6 +88,25 @@ def test_solve_reports_latency_breakdown(tmp_path, scenario_file):
             rel=1e-12)
 
 
+def test_solve_files_keep_their_bytes(tmp_path, scenario_file):
+    # SHA-256 of decision.json as written when each entry's accuracy term and
+    # latency parts were computed user by user with the scalar model
+    # (x86-64 Linux, CPython 3.11, numpy 2.4).
+    digests = {}
+    for solver in ("b1", "b2", "b3", "oracle", "bnb", "ga"):
+        out = tmp_path / f"{solver}.json"
+        assert run(["solve", scenario_file, "--solver", solver, "--seed", 4, "-o", out]) == 0
+        digests[solver] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digests == {
+        "b1": "e4457695b12da5be375a16afa0c97d390c7b947168c0cd1ba48b0c84e00ee378",
+        "b2": "793fdcf5b7f68604f310a5b99b8d43a43cc0d01a2006e9c583858ad02dd43c67",
+        "b3": "f8cca4ca0269af7ee457572b7fd726c87f2eeba317e9c9524b6d2aa2b464fd14",
+        "oracle": "de4817852a3d230a243af6429d86b7a7c498fa0b366ba116b7abd08c0372f991",
+        "bnb": "32f18a83b5827371ac5995b17ef5262fcd1230f3938b5c63239e7eb159354aa6",
+        "ga": "e1f89ecfa8300b344d495a6f45d935208f294f24baf7917724883f2e4e3e1a7b",
+    }
+
+
 def test_solve_dqn_requires_policy(scenario_file):
     with pytest.raises(SystemExit) as exc:
         run(["solve", scenario_file, "--solver", "dqn"])
@@ -155,6 +174,32 @@ def test_solve_infinite_alpha_is_clean_error(tmp_path, scenario_file, capsys):
                                 lambda obj: obj["users"][0].update(alpha=float("inf")))
     assert code == 2 and err.startswith("error: alpha: must be finite")
     assert not (tmp_path / "d.json").exists()
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("edge.gpus", lambda obj: obj["edge"].update(gpus=2.9)),
+    ("users[0].request_slot", lambda obj: obj["users"][0].update(request_slot=3.7)),
+    ("edge.b_max", lambda obj: obj["edge"].update(b_max=True)),
+    ("pai.n_total", lambda obj: obj["pai"].update(n_total="200")),
+])
+def test_solve_non_integer_count_is_clean_error(tmp_path, scenario_file, capsys, field, edit):
+    code, err = solve_malformed(tmp_path, scenario_file, capsys, edit)
+    assert code == 2 and err.startswith(f"error: {field}: must be an integer")
+    assert not (tmp_path / "d.json").exists()
+
+
+@pytest.mark.parametrize("value", ["false", 0, None])
+def test_solve_non_boolean_flag_is_clean_error(tmp_path, scenario_file, capsys, value):
+    code, err = solve_malformed(tmp_path, scenario_file, capsys,
+                                lambda obj: obj["users"][1].update(alpha_clamped=value))
+    assert code == 2 and err.startswith("error: users[1].alpha_clamped: must be true or false")
+    assert not (tmp_path / "d.json").exists()
+
+
+def test_solve_accepts_integral_float_counts(tmp_path, scenario_file, capsys):
+    code, err = solve_malformed(tmp_path, scenario_file, capsys,
+                                lambda obj: obj["edge"].update(gpus=8.0))
+    assert code == 0 and err == ""
 
 
 # -- train ----------------------------------------------------------------------

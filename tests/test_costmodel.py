@@ -1,14 +1,26 @@
 """The array cost model against the scalar reference, and the oracle built on it."""
 
+import ast
 from collections import Counter
 from dataclasses import replace
+from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diffload
 from diffload.baselines import SOLVERS, SplitTable, solve_count_oracle, solve_exhaustive
-from diffload.costmodel import CostModel
-from diffload.qoe import ContractError, DecisionEntry, objective, user_qoe, validate_decision
+from diffload.costmodel import CostModel, sequential_sum
+from diffload.qoe import (
+    ContractError,
+    Decision,
+    DecisionEntry,
+    e2e_latency,
+    objective,
+    user_qoe,
+    validate_decision,
+)
 from diffload.scenario import (
     DeviceProfile,
     GeneratorConfig,
@@ -16,6 +28,7 @@ from diffload.scenario import (
     Scenario,
     UserRequest,
     default_edge,
+    fitted_pai,
     generate_scenario,
 )
 from diffload.split import (
@@ -50,10 +63,10 @@ def per_m_sort_oracle(scenario):
     """The count oracle as a loop: per m, sort (-gain, index) and take the top m."""
     n = scenario.user_count
     table = SplitTable(scenario)
-    deny_total = sum(table.denied(i) for i in range(n))
+    deny_total = sum(float(table.deny[i]) for i in range(n))
     best_value, best_set = deny_total, set()
     for m in range(1, table.cap + 1):
-        gains = sorted(((table.granted(i, m)[1] - table.denied(i), i) for i in range(n)),
+        gains = sorted(((table.granted(i, m)[1] - float(table.deny[i]), i) for i in range(n)),
                        key=lambda t: (-t[0], t[1]))
         value = deny_total + sum(gain for gain, _ in gains[:m])
         if value > best_value:
@@ -81,7 +94,7 @@ def test_grid_matches_scalar_split_and_value_in_every_case():
         for i, user in enumerate(scenario.users):
             deny = user_qoe(user, DecisionEntry(granted=False, split=scenario.pai.n_total),
                             0, scenario.edge, scenario.pai)
-            assert table.denied(i) == pytest.approx(deny, rel=1e-12)
+            assert float(table.deny[i]) == pytest.approx(deny, rel=1e-12)
     assert set(cases) == {LOCAL_DOMINATES, PAI_SATURATED, LATENCY_SATURATED, INTERIOR_ROOT}
 
 
@@ -149,3 +162,81 @@ def test_every_solver_returns_the_empty_decision_for_no_users(name):
     decision = SOLVERS[name](scenario, rng=np.random.default_rng(0))
     assert decision.entries == []
     assert objective(scenario, decision) == 0
+
+
+def assert_breakdown_is_the_scalar_model(scenario, decision):
+    """Every user's breakdown equals alpha * fitted_pai and the e2e_latency parts exactly."""
+    parts = CostModel.from_scenario(scenario).breakdown(decision)
+    columns = [parts.pai_term, parts.rtt, parts.uplink_downlink, parts.edge_compute,
+               parts.local_compute, parts.total]
+    assert all(c.shape == (scenario.user_count,) for c in columns)
+    m = decision.grant_count
+    expected = []
+    for user, entry in zip(scenario.users, decision.entries):
+        lat = e2e_latency(user, entry, m, scenario.edge, scenario.pai.n_total)
+        expected.append((user.alpha * fitted_pai(entry.split, scenario.pai), lat.rtt,
+                         lat.uplink_downlink, lat.edge_compute, lat.local_compute, lat.total))
+    assert list(zip(*(c.tolist() for c in columns))) == expected
+    assert sequential_sum(parts.pai_term - parts.total) == objective(scenario, decision)
+
+
+def test_breakdown_is_the_scalar_model_for_every_user():
+    rng = np.random.default_rng(606)
+    cases, shapes = Counter(), Counter()
+    for k in range(160):
+        users = 0 if k % 16 == 0 else int(rng.integers(1, 25))
+        scenario = wide_scenario(rng, users, b_max=int(rng.integers(0, users + 3)))
+        table = SplitTable(scenario)
+        m = (0, table.cap)[k % 2] if k % 3 == 0 else int(rng.integers(0, table.cap + 1))
+        grants = np.zeros(users, dtype=bool)
+        grants[rng.permutation(users)[:m]] = True
+        for i in np.flatnonzero(grants):
+            cases[optimal_split(scenario.users[i], m, scenario.edge, scenario.pai).case] += 1
+        shapes["no users"] += users == 0
+        shapes["no grants"] += users > 0 and m == 0
+        shapes["full cap"] += 0 < m == table.cap
+        assert_breakdown_is_the_scalar_model(scenario, table.decision(grants))
+    assert set(cases) == {LOCAL_DOMINATES, PAI_SATURATED, LATENCY_SATURATED, INTERIOR_ROOT}
+    assert all(shapes[name] > 0 for name in ("no users", "no grants", "full cap"))
+
+
+def test_breakdown_at_a_pinned_split_for_every_grant_pattern():
+    scenario = make_scenario(seed=11, users=6, b_max=6)
+    for bits in product([False, True], repeat=6):
+        decision = Decision(entries=[
+            DecisionEntry(granted=g, split=80 if g else 200) for g in bits])
+        assert_breakdown_is_the_scalar_model(scenario, decision)
+
+
+def test_accuracy_table_is_shared_and_read_only():
+    a = CostModel.from_scenario(make_scenario(seed=1, users=3, b_max=2))
+    b = CostModel.from_scenario(make_scenario(seed=2, users=5, b_max=4))
+    assert a.accuracy is b.accuracy
+    assert a.accuracy.tolist() == [fitted_pai(n, a.pai) for n in range(a.pai.n_total + 1)]
+    with pytest.raises(ValueError, match="read-only"):
+        a.accuracy[0] = 0.5
+
+
+# Each scalar-model function and the modules allowed to call it; every other
+# module reads the cost model.
+SCALAR_MODEL_CALLERS = {
+    "e2e_latency": {"qoe.py", "split.py"},
+    "user_qoe": {"qoe.py", "split.py"},
+    "optimal_split": {"qoe.py", "split.py"},
+    "fitted_pai": {"scenario.py", "costmodel.py", "qoe.py", "split.py"},
+}
+
+
+def test_only_the_reference_modules_call_the_scalar_model():
+    package = Path(diffload.__file__).parent
+    calls = []
+    for path in sorted(package.rglob("*.py")):
+        module = path.relative_to(package).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in SCALAR_MODEL_CALLERS and module not in SCALAR_MODEL_CALLERS[name]:
+                calls.append(f"{module}:{node.lineno} calls {name}")
+    assert calls == []
