@@ -1,4 +1,4 @@
-"""Q-network with an explicit forward/backward pass, in 64-bit floats.
+"""Q-network with an explicit forward/backward pass, in the dtype of its weights.
 
 Architecture: each user slot contributes three continuous statics plus a
 status token that is looked up in a small embedding table (4 tokens, 3
@@ -6,11 +6,16 @@ dims); the per-user blocks are flattened, the global features appended, and
 the result run through three ReLU hidden layers into a 2-unit linear head
 (Q-values for deny/grant). Gradients are computed analytically; the test
 suite checks them against central finite differences.
+
+A network computes in the dtype of the weights it holds: float64 by
+default, float32 for training (see `training`). Inputs are narrowed to that
+dtype as they enter the dense stack, and `Adam` keeps its moments in the
+dtype of the weights it updates.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Future
+import math
 
 import numpy as np
 
@@ -22,16 +27,8 @@ EMBED_DIM = 3
 N_ACTIONS = 2
 
 
-class InlineLane:
-    """Executor stand-in that runs each task on the calling thread as it is submitted."""
-
-    def submit(self, fn, /, *args) -> Future:
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-
-INLINE = InlineLane()
+# Adam steps between flushes of subnormal moments to zero.
+_FLUSH_EVERY = 100
 
 
 def _he_uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
@@ -41,25 +38,30 @@ def _he_uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
 
 class QNetwork:
     def __init__(self, i_max: int, hidden: tuple[int, ...] = (256, 256, 256),
-                 rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None, dtype=np.float64):
+        """Random initial weights, drawn in float64 and then rounded to `dtype`.
+
+        The draws do not depend on `dtype`.
+        """
         rng = rng if rng is not None else np.random.default_rng(0)
         self._set_layout(i_max, hidden)
         self.params: dict[str, np.ndarray] = {}
         for key, shape in self.param_shapes(i_max, hidden).items():
             if key == "embed":
-                self.params[key] = rng.uniform(-0.5, 0.5, size=shape)
+                value = rng.uniform(-0.5, 0.5, size=shape)
             elif key.startswith("W"):
-                self.params[key] = _he_uniform(rng, shape[0], shape)
+                value = _he_uniform(rng, shape[0], shape)
             else:
-                self.params[key] = np.zeros(shape)
+                value = np.zeros(shape)
+            self.params[key] = value.astype(dtype, copy=False)
 
     @classmethod
     def from_params(cls, i_max: int, hidden: tuple[int, ...],
                     params: dict[str, np.ndarray]) -> "QNetwork":
-        """A network holding copies of `params`; draws no random initialisation."""
+        """A network holding copies of `params`, in their dtype; draws no random initialisation."""
         net = cls.__new__(cls)
         net._set_layout(i_max, hidden)
-        net.params = {k: np.asarray(v, dtype=float).copy() for k, v in params.items()}
+        net.params = {k: np.array(v) for k, v in params.items()}
         return net
 
     @staticmethod
@@ -82,6 +84,10 @@ class QNetwork:
     @property
     def feature_dim(self) -> int:
         return self.i_max * FEATURES_PER_USER + N_GLOBALS
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.params["W0"].dtype
 
     def copy_from(self, other: "QNetwork") -> None:
         for k, v in other.params.items():
@@ -107,7 +113,7 @@ class QNetwork:
         tokens = per_user[:, :, 3].astype(np.int64)
         if tokens.min() < 0 or tokens.max() >= VOCAB:
             raise ContractError(f"status tokens outside [0, {VOCAB})")
-        x0 = np.empty((batch, self.input_dim)) if x0 is None else x0
+        x0 = np.empty((batch, self.input_dim), dtype=self.dtype) if x0 is None else x0
         blocks = x0[:, :self.i_max * (3 + EMBED_DIM)].reshape(batch, self.i_max, 3 + EMBED_DIM)
         blocks[:, :, :3] = statics
         blocks[:, :, 3:] = self.params["embed"][tokens]
@@ -134,14 +140,15 @@ class QNetwork:
         """
         if self._work_arrays.get("rows") != rows:
             dims = [self.input_dim, *self.hidden, N_ACTIONS]
+            dtype = self.dtype
             self._work_arrays = {
                 "rows": rows,
-                "x0": np.empty((rows, self.input_dim)),
-                "pre": [np.empty((rows, d)) for d in dims[1:]],
-                "post": [np.empty((rows, d)) for d in self.hidden],
-                "delta": [np.empty((rows, d)) for d in self.hidden],
-                "d_input": np.empty((rows, self.input_dim)),
-                "weight_grads": [np.empty((a, b)) for a, b in zip(dims[:-1], dims[1:])],
+                "x0": np.empty((rows, self.input_dim), dtype),
+                "pre": [np.empty((rows, d), dtype) for d in dims[1:]],
+                "post": [np.empty((rows, d), dtype) for d in self.hidden],
+                "delta": [np.empty((rows, d), dtype) for d in self.hidden],
+                "d_input": np.empty((rows, self.input_dim), dtype),
+                "weight_grads": [np.empty((a, b), dtype) for a, b in zip(dims[:-1], dims[1:])],
             }
         return self._work_arrays
 
@@ -162,27 +169,25 @@ class QNetwork:
         cache = {"pre": pre, "post": post, "tokens": tokens}
         return post[-1], cache
 
-    def backward(self, cache, dq: np.ndarray, *, lane=INLINE) -> dict[str, np.ndarray]:
+    def backward(self, cache, dq: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients of a scalar loss given d(loss)/d(q) for a cached forward.
 
-        Each weight gradient ``inp.T @ delta`` runs on `lane` while this
-        thread carries `delta` down to the next layer; neither writes what
-        the other reads. The weight gradients live in arrays this network
-        reuses: they hold until its next `backward` call.
+        The weight gradients live in arrays this network reuses: they hold
+        until its next `backward` call.
         """
         ws = self._workspace(dq.shape[0])
         grads: dict = {}
         delta = dq
         for layer in reversed(range(self.n_layers)):
             inp = cache["post"][layer]
-            grads[f"W{layer}"] = lane.submit(np.matmul, inp.T, delta, ws["weight_grads"][layer])
+            grads[f"W{layer}"] = np.matmul(inp.T, delta, out=ws["weight_grads"][layer])
             grads[f"b{layer}"] = delta.sum(axis=0)
             if layer > 0:
                 delta = np.matmul(delta, self.params[f"W{layer}"].T, out=ws["delta"][layer - 1])
                 delta *= cache["pre"][layer - 1] > 0.0
         # Push into the embedding table: the first i_max * 6 inputs interleave
         # [statics(3), embed(3)] per user. bincount sums each token's rows in
-        # row order, as a sequential scatter-add would.
+        # row order, as a sequential scatter-add would, in float64.
         d_input = np.matmul(delta, self.params["W0"].T, out=ws["d_input"])
         batch = d_input.shape[0]
         d_blocks = d_input[:, :self.i_max * (3 + EMBED_DIM)]
@@ -190,9 +195,7 @@ class QNetwork:
         tokens = cache["tokens"].reshape(-1)
         d_embed = np.stack([np.bincount(tokens, weights=d_embedded[:, dim], minlength=VOCAB)
                             for dim in range(EMBED_DIM)], axis=1)
-        for layer in range(self.n_layers):
-            grads[f"W{layer}"] = grads[f"W{layer}"].result()
-        grads["embed"] = d_embed
+        grads["embed"] = d_embed.astype(self.dtype, copy=False)
         return grads
 
 
@@ -201,7 +204,16 @@ class Adam:
 
     All updates run in place through preallocated scratch buffers; on a
     CPU-bound training loop the allocation churn of the textbook five-line
-    version costs more than the arithmetic.
+    version costs more than the arithmetic. The moments take the dtype of
+    the weights.
+
+    Every `_FLUSH_EVERY` steps, moments below the dtype's smallest normal
+    number are set to zero. A weight whose gradient stays 0 has its first
+    moment multiplied by beta1 on every step; it decays into the subnormal
+    range, where the smallest values are fixed points of the multiply, and
+    arithmetic on subnormals is several times slower on x86 processors. A
+    moment that small moves its weight by at most about lr * tiny / eps
+    (1e-34 in float32), far below the rounding step of the weight.
     """
 
     def __init__(self, params: dict[str, np.ndarray], lr: float = 1e-4,
@@ -215,31 +227,13 @@ class Adam:
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self._buf = {k: np.empty_like(v) for k, v in params.items()}
-        # Tensors for the second lane: largest first, each to the lighter side.
-        loads, self._lane_keys = [0, 0], set()
-        for key in sorted(params, key=lambda k: -params[k].size):
-            side = int(loads[1] < loads[0])
-            loads[side] += params[key].size
-            if side:
-                self._lane_keys.add(key)
 
-    def step(self, grads: dict[str, np.ndarray], *, lane=INLINE) -> None:
-        """One update; `lane` takes about half the weights, in whole tensors.
-
-        Each tensor's update reads and writes only that tensor's own arrays,
-        so the split changes no value.
-        """
+    def step(self, grads: dict[str, np.ndarray]) -> None:
+        """One update from `grads`, keyed like the weights."""
         self.t += 1
         bias1 = 1 - self.beta1 ** self.t
         bias2 = 1 - self.beta2 ** self.t
-        handed = [(k, g) for k, g in grads.items() if k in self._lane_keys]
-        kept = [(k, g) for k, g in grads.items() if k not in self._lane_keys]
-        done = lane.submit(self._update, handed, bias1, bias2)
-        self._update(kept, bias1, bias2)
-        done.result()
-
-    def _update(self, items: list[tuple[str, np.ndarray]], bias1: float, bias2: float) -> None:
-        for key, g in items:
+        for key, g in grads.items():
             m, v, buf = self.m[key], self.v[key], self._buf[key]
             m *= self.beta1
             np.multiply(g, 1 - self.beta1, out=buf)
@@ -250,8 +244,17 @@ class Adam:
             v += buf
             # param -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
             np.sqrt(v, out=buf)
-            buf /= np.sqrt(bias2)
+            buf /= math.sqrt(bias2)
             buf += self.eps
             np.divide(m, buf, out=buf)
             buf *= self.lr / bias1
             self.params[key] -= buf
+        if self.t % _FLUSH_EVERY == 0:
+            self.flush_subnormals()
+
+    def flush_subnormals(self) -> None:
+        """Set every moment below the smallest normal number of its dtype to zero."""
+        for moments in (self.m, self.v):
+            for key, moment in moments.items():
+                magnitude = np.abs(moment, out=self._buf[key])
+                moment[magnitude < np.finfo(moment.dtype).tiny] = 0.0

@@ -181,6 +181,8 @@ class ReplayBuffer:
                       terminal_mask=terminal_mask, weights=weights)
 
     def update_priorities(self, sample: Sample, td_errors: np.ndarray) -> None:
+        """Reprioritize the sampled transitions by their TD errors, in float64."""
+        td_errors = np.asarray(td_errors, dtype=np.float64)
         weights = (np.abs(td_errors) + self.priority_offset) ** self.priority_exponent
         for tree, part in ((self.terminal, sample.terminal_mask),
                            (self.regular, ~sample.terminal_mask)):

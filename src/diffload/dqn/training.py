@@ -17,31 +17,23 @@ episode, or the early grant decisions never see the latency they cause.
 Everything is driven by one seeded generator, so a fixed seed reproduces
 the learning curve and the final weights bit for bit.
 
-Each gradient step runs in two lanes: this thread and one worker thread,
-which `train` opens for the whole run. numpy releases the interpreter lock
-inside matrix products and large array operations, so the worker can use a
-second core. The worker takes, in this order:
-
-- the target network's forward pass (`td_targets`), beside the online
-  network's cached forward pass;
-- the priority update of the sampled transitions, beside the backward pass;
-- each layer's weight gradient ``inp.T @ delta``, while this thread carries
-  the deltas down to the next layer;
-- about half of the Adam update, by whole tensors.
-
-The lanes do not change a single bit of the result. Every random draw stays
-on this thread; the worker draws nothing. Each task writes arrays no other
-task touches while it runs, and reads only arrays nothing writes meanwhile.
-Each array is computed by the same numpy operations on the same inputs as
-on one lane, so its value does not depend on which thread computed it or
-when. Every task is joined before `train_step` returns. On one CPU the
-worker's tasks simply run in turn with this thread's.
+Training runs in float32: the network's weights and activations, Adam's
+moments, the stored replay features and the TD targets. On one core a
+float32 matrix product of the training step's shapes takes a little over
+half the time of a float64 one, and an Adam pass moves half the bytes.
+Three things stay float64: the sum tree's priorities, whose batched updates
+reproduce one-at-a-time updates bit for bit; the loss and the
+importance-sampling weights; and the returned `TrainedPolicy`, whose
+weights are the float32 weights widened exactly. `greedy_solve` and policy
+files therefore compute in float64. Adam flushes subnormal moments to zero
+every hundred steps (see `network.Adam`); without the flush a growing share
+of the moments of weights whose gradient stays 0 ends up subnormal, and
+each step slows as the run goes on.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -50,10 +42,11 @@ import numpy as np
 from ..env import Transition, assign_rewards, decision_from_state, run_episode
 from ..qoe import ContractError, Decision, all_local_decision
 from ..scenario import EdgeConfig, GeneratorConfig, PaiParams, Scenario, ValidationError, alpha_band, generate_scenario
-from .network import INLINE, Adam, QNetwork
+from .network import Adam, QNetwork
 from .replay import ReplayBuffer
 
 SCOPES = ("general", "gpu", "specific")
+TRAIN_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -122,48 +115,50 @@ def select_action(net: QNetwork, features: np.ndarray, eps: float, tau: float,
 
 def td_targets(rewards: np.ndarray, next_features: np.ndarray, dones: np.ndarray,
                target_net: QNetwork, gamma: float) -> np.ndarray:
-    """One-step targets; terminal transitions do not bootstrap."""
-    y = rewards.astype(float).copy()
+    """One-step targets in the target network's dtype; terminal transitions do not bootstrap.
+
+    The target network's forward pass reuses the arrays that network keeps
+    for `forward_cached`; the targets returned are a new array.
+    """
+    y = rewards.astype(target_net.dtype)
     live = ~dones
     if live.any():
-        q_next = target_net.forward(next_features[live])
+        q_next, _ = target_net.forward_cached(next_features[live])
         y[live] += gamma * q_next.max(axis=1)
     return y
 
 
 def train_step(net: QNetwork, target_net: QNetwork, adam: Adam,
                buffer: ReplayBuffer, hyper: TrainHyper,
-               rng: np.random.Generator, *, lane=INLINE) -> float | None:
-    """One stratified PER update. Returns the loss, or None if the buffer is light.
-
-    `lane` runs the independent halves of the step beside this thread; see
-    the module docstring. Every task is joined before the step returns.
-    """
+               rng: np.random.Generator) -> float | None:
+    """One stratified PER update. Returns the loss, or None if the buffer is light."""
     if not buffer.ready(hyper.batch_size, hyper.terminal_quota):
         return None
     sample = buffer.sample(hyper.batch_size, hyper.terminal_quota, rng)
-    targets = lane.submit(td_targets, sample.rewards, sample.next_features,
-                          sample.terminal_mask, target_net, hyper.gamma)
+    targets = td_targets(sample.rewards, sample.next_features, sample.terminal_mask,
+                         target_net, hyper.gamma)
     q, cache = net.forward_cached(sample.features)
     rows = np.arange(len(sample.actions))
-    td = targets.result() - q[rows, sample.actions]
+    td = targets - q[rows, sample.actions]
     loss = float(np.mean(sample.weights * td * td))
     dq = np.zeros_like(q)
     dq[rows, sample.actions] = -2.0 * sample.weights * td / len(sample.actions)
-    reprioritized = lane.submit(buffer.update_priorities, sample, td)
-    adam.step(net.backward(cache, dq, lane=lane), lane=lane)
-    reprioritized.result()
+    buffer.update_priorities(sample, td)
+    adam.step(net.backward(cache, dq))
     return loss
 
 
 def _push_episode(buffer: ReplayBuffer, transitions: list[Transition],
                   rewards: list[float], reward_scale: float) -> None:
-    """Push one episode into the replay buffer, one call per partition."""
+    """Push one episode into the replay buffer, one call per partition.
+
+    Features are stored in `TRAIN_DTYPE`, as the network narrows them.
+    """
     done = np.array([tr.done for tr in transitions])
-    features = np.array([tr.features for tr in transitions])
+    features = np.array([tr.features for tr in transitions], dtype=TRAIN_DTYPE)
     actions = np.array([tr.action for tr in transitions])
     scaled = np.array(rewards) * reward_scale
-    next_features = np.array([tr.next_features for tr in transitions])
+    next_features = np.array([tr.next_features for tr in transitions], dtype=TRAIN_DTYPE)
     for terminal in (True, False):
         rows = done == terminal
         if rows.any():
@@ -275,7 +270,7 @@ def train(source: ScenarioSource, hyper: TrainHyper, seed: int,
     rng = np.random.default_rng(seed)
     i_max = source.i_max
     alpha_scale = source.alpha_scale()
-    net = QNetwork(i_max, rng=rng)
+    net = QNetwork(i_max, rng=rng, dtype=TRAIN_DTYPE)
     target = net.clone()
     adam = Adam(net.params, lr=hyper.lr)
     buffer = ReplayBuffer(hyper.capacity, terminal_fraction=hyper.terminal_quota / hyper.batch_size,
@@ -300,32 +295,31 @@ def train(source: ScenarioSource, hyper: TrainHyper, seed: int,
         env_steps += 1
         return select_action(net, features, eps, tau, rng)
 
-    with ThreadPoolExecutor(max_workers=1) as lane:
-        for episode in range(hyper.episodes):
-            scenario = source.scenario_for_episode(episode)
-            record = run_episode(scenario, exploring, i_max, alpha_scale)
-            rewards = assign_rewards(record, scenario)
-            returns.append(sum(rewards))
-            _push_episode(buffer, record.transitions, rewards, hyper.reward_scale)
+    for episode in range(hyper.episodes):
+        scenario = source.scenario_for_episode(episode)
+        record = run_episode(scenario, exploring, i_max, alpha_scale)
+        rewards = assign_rewards(record, scenario)
+        returns.append(sum(rewards))
+        _push_episode(buffer, record.transitions, rewards, hyper.reward_scale)
 
-            credit += len(record.transitions) / hyper.train_every
-            while credit >= 1.0:
-                loss = train_step(net, target, adam, buffer, hyper, rng, lane=lane)
-                if loss is None:
-                    credit = 0.0  # still warming up; forfeit these updates
-                    break
-                losses.append(loss)
-                credit -= 1.0
-                train_steps += 1
-                if train_steps % hyper.target_sync == 0:
-                    target.copy_from(net)
-            if monitor is not None and monitor_every and (episode + 1) % monitor_every == 0:
-                monitor(episode, net)
+        credit += len(record.transitions) / hyper.train_every
+        while credit >= 1.0:
+            loss = train_step(net, target, adam, buffer, hyper, rng)
+            if loss is None:
+                credit = 0.0  # still warming up; forfeit these updates
+                break
+            losses.append(loss)
+            credit -= 1.0
+            train_steps += 1
+            if train_steps % hyper.target_sync == 0:
+                target.copy_from(net)
+        if monitor is not None and monitor_every and (episode + 1) % monitor_every == 0:
+            monitor(episode, net)
 
     policy = TrainedPolicy(
         i_max=i_max,
         hidden=net.hidden,
-        params={k: v.copy() for k, v in net.params.items()},
+        params={k: v.astype(np.float64) for k, v in net.params.items()},
         alpha_scale=alpha_scale,
         scope=source.scope,
         seed=seed,

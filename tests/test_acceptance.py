@@ -248,6 +248,7 @@ def test_criterion_6_baseline_ordering_and_trends():
 
 # -- criterion 7 ---------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_7_drl_optimality_at_desk_scale():
     source = ScenarioSource(scope="specific", generator=GeneratorConfig(user_count=20),
                             edge=default_edge(gpus=8, b_max=16), pai=PaiParams(),

@@ -286,7 +286,8 @@ def test_train_files_keep_their_bytes(tmp_path, scenario_file):
     # SHA-256 of a 30-episode specific-scope run (75 train steps) and of two
     # generated scenarios, as written before the environment, the generator
     # and the quadratic form were moved onto the cost model (x86-64 Linux,
-    # CPython 3.11, numpy 2.4).
+    # CPython 3.11, numpy 2.4). policy.json was taken again when training
+    # moved to float32; its learning curve kept its bytes.
     policy = tmp_path / "policy.json"
     assert run(["train", "--scope", "specific", "--seed", 5, "--episodes", 30,
                 "--scenario", scenario_file, "-o", policy]) == 0
@@ -298,7 +299,7 @@ def test_train_files_keep_their_bytes(tmp_path, scenario_file):
     assert digests == {
         "scenario.json": "0eb27fdee9f1294c43bd5153446c3096454a4a94361889b8ba90427266875d14",
         "other.json": "d79c0f29ab03c0dca32ed85ae427cccc9f168305325b2fa5d60c12d3c553086a",
-        "policy.json": "39c03d1120c8347aea955fc63228038dfef344b4528e11a6adb15a28d25b1d7b",
+        "policy.json": "c3d67e39cf61b003af9204d3305d04ff4773193850021666757ddb303e82a8cc",
         "policy.curve.csv": "ef2c5006717a825c36064fd90f680e6f4da34fa97121400513e34ecfbcd8fe99",
     }
 

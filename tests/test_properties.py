@@ -1,0 +1,109 @@
+"""Property tests over every solver on randomly drawn scenarios.
+
+Scenarios come from seeded numpy draws that lean on the edges: no users,
+one user, no edge capacity, capacity equal to the user count, and a single
+edge GPU. Every solver's decision must be feasible with a finite objective,
+none may beat the count oracle, exhaustive enumeration must equal it, and
+branch and bound must reach the fixed-split optimum.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from diffload.baselines import (
+    GaConfig,
+    baseline_all_local,
+    baseline_all_offload_fixed,
+    baseline_all_offload_opt,
+    solve_bnb,
+    solve_count_oracle,
+    solve_exhaustive,
+    solve_ga,
+)
+from diffload.costmodel import CostModel
+from diffload.dqn import ScenarioSource, TrainHyper, greedy_solve, train
+from diffload.qoe import objective, validate_decision
+from diffload.scenario import GeneratorConfig, PaiParams, default_edge, generate_scenario
+
+MAX_USERS = 10  # exhaustive enumeration and the policy's capacity
+CASES = 300
+RELATIVE_TOL = 1e-9
+
+
+def close_or_below(value, bound):
+    return value <= bound + RELATIVE_TOL * max(1.0, abs(value), abs(bound))
+
+
+def fixed_split_optimum(scenario):
+    """Best objective with every grant at the minimum split: the top m gains, for each m."""
+    model = CostModel.from_scenario(scenario)
+    deny = model.denied()
+    cap = min(scenario.user_count, scenario.edge.b_max)
+    best = float(deny.sum())
+    for m in range(1, cap + 1):
+        gains = np.sort(model.granted(scenario.pai.n_min, [m])[:, 0] - deny)[::-1]
+        best = max(best, float(deny.sum() + gains[:m].sum()))
+    return best
+
+
+def draw_scenario(rng):
+    """One scenario; each edge case turns up in about a quarter of the draws or more."""
+    users = int(rng.choice([0, 1, int(rng.integers(2, MAX_USERS + 1))], p=[0.2, 0.2, 0.6]))
+    b_max = int(rng.choice([0, users, int(rng.integers(0, users + 4))]))
+    gpus = int(rng.choice([1, 2, 4, 8, 16]))
+    seed = int(rng.integers(0, 2**31))
+    scenario = generate_scenario(seed, GeneratorConfig(user_count=max(users, 1)),
+                                 default_edge(gpus=gpus, b_max=b_max))
+    return scenario if users else replace(scenario, users=[])
+
+
+@pytest.fixture(scope="module")
+def policy():
+    """A tiny general-scope policy, trained in float32, that takes up to MAX_USERS users."""
+    source = ScenarioSource(scope="general", generator=GeneratorConfig(user_count=MAX_USERS),
+                            edge=default_edge(), pai=PaiParams(), seed=5, seed_pool=20,
+                            user_range=(1, MAX_USERS))
+    hyper = TrainHyper(episodes=30, target_sync=50, capacity=4000, batch_size=16,
+                       terminal_quota=2, train_every=2)
+    return train(source, hyper, seed=3).policy
+
+
+def test_draws_cover_the_edge_cases():
+    rng = np.random.default_rng(4242)
+    drawn = [draw_scenario(rng) for _ in range(CASES)]
+    assert any(s.user_count == 0 for s in drawn)
+    assert any(s.user_count == 1 for s in drawn)
+    assert any(s.user_count > 1 and s.edge.b_max == 0 for s in drawn)
+    assert any(s.user_count > 1 and s.edge.b_max == s.user_count for s in drawn)
+    assert any(s.edge.gpus == 1 for s in drawn)
+
+
+def test_every_solver_is_feasible_finite_and_bounded_by_the_oracle(policy):
+    rng = np.random.default_rng(4242)
+    for case in range(CASES):
+        scenario = draw_scenario(rng)
+        label = (case, scenario.seed, scenario.user_count, scenario.edge.b_max,
+                 scenario.edge.gpus)
+        oracle = objective(scenario, solve_count_oracle(scenario))
+        assert math.isfinite(oracle), label
+        decisions = {
+            "b1": baseline_all_offload_opt(scenario),
+            "b2": baseline_all_offload_fixed(scenario),
+            "b3": baseline_all_local(scenario),
+            "ga": solve_ga(scenario, GaConfig(population=12, iterations=6), rng=case),
+            "bnb": solve_bnb(scenario),
+            "exhaustive": solve_exhaustive(scenario),
+            "dqn": greedy_solve(policy, scenario),
+        }
+        for name, decision in decisions.items():
+            validate_decision(scenario, decision)
+            value = objective(scenario, decision)
+            assert math.isfinite(value), (name, label)
+            assert close_or_below(value, oracle), (name, value, oracle, label)
+        exhaustive = objective(scenario, decisions["exhaustive"])
+        assert close_or_below(oracle, exhaustive), (exhaustive, oracle, label)
+        bnb, fixed = objective(scenario, decisions["bnb"]), fixed_split_optimum(scenario)
+        assert close_or_below(fixed, bnb) and close_or_below(bnb, fixed), (bnb, fixed, label)

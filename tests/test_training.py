@@ -1,14 +1,13 @@
 import os
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from diffload.dqn.network import INLINE, Adam, QNetwork
+from diffload.dqn.network import Adam, QNetwork
 from diffload.dqn.replay import ReplayBuffer
 from diffload.dqn.training import (
     ScenarioSource,
@@ -164,24 +163,6 @@ def test_train_step_returns_nonnegative_loss_and_updates():
     assert not np.array_equal(before, net.params["W0"])
 
 
-def test_train_step_on_a_lane_matches_inline_bitwise():
-    hyper = tiny_hyper()
-    runs = []
-    with ThreadPoolExecutor(max_workers=1) as lane:
-        for step_lane in (INLINE, lane):
-            net = QNetwork(i_max=3, hidden=(8, 8, 8), rng=np.random.default_rng(1))
-            target = net.clone()
-            adam = Adam(net.params, lr=hyper.lr)
-            buf, rng = _filled_buffer(net, hyper)
-            losses = [train_step(net, target, adam, buf, hyper, rng, lane=step_lane)
-                      for _ in range(12)]
-            runs.append((losses, net.params, buf.regular.tree.tobytes(),
-                         buf.terminal.tree.tobytes()))
-    (losses_a, params_a, *trees_a), (losses_b, params_b, *trees_b) = runs
-    assert losses_a == losses_b and trees_a == trees_b
-    assert all(params_a[k].tobytes() == params_b[k].tobytes() for k in params_a)
-
-
 def test_target_sync_exact_at_multiples():
     source = make_source(users=4, seed=3)
     hyper = tiny_hyper(episodes=30, target_sync=7)
@@ -233,8 +214,8 @@ save_policy(train(source, hyper, seed=9).policy, sys.argv[1])
 def test_policy_bytes_do_not_depend_on_the_cpus_given(tmp_path):
     """A run confined to one CPU writes the same policy file as a run on all of them.
 
-    With one CPU the lane's tasks interleave with this thread differently, so
-    a race between the two would show as different weights.
+    Nothing in training may depend on the threads the machine offers, such
+    as a BLAS library that splits its products by core count.
     """
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -282,6 +263,28 @@ def test_policy_roundtrip_replays_identically(tmp_path):
     loaded = load_policy(path)
     d2 = greedy_solve(loaded, scenario)
     assert d1 == d2
+
+
+def test_float32_policy_survives_the_policy_file(tmp_path):
+    """Training runs in float32 and returns its weights widened exactly; saved and
+    loaded, they narrow back to the same bits and make the same greedy decisions."""
+    source = make_source(users=6, seed=17)
+    trained = {}
+    policy = train(source, tiny_hyper(episodes=30), seed=8, monitor_every=30,
+                   monitor=lambda episode, net: trained.update(
+                       {k: v.copy() for k, v in net.params.items()})).policy
+    path = tmp_path / "policy.json"
+    save_policy(policy, path)
+    loaded = load_policy(path)
+    assert sorted(loaded.params) == sorted(trained)
+    for key, value in trained.items():
+        assert value.dtype == np.float32 and loaded.params[key].dtype == np.float64
+        assert policy.params[key].tobytes() == value.astype(np.float64).tobytes(), key
+        assert loaded.params[key].tobytes() == policy.params[key].tobytes(), key
+        assert loaded.params[key].astype(np.float32).tobytes() == value.tobytes(), key
+    for seed in range(8):
+        scenario = generate_scenario(seed, GeneratorConfig(user_count=6), default_edge())
+        assert greedy_solve(loaded, scenario) == greedy_solve(policy, scenario)
 
 
 def test_greedy_solve_feasible_on_fuzz():
