@@ -69,14 +69,20 @@ class GaConfig:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
 
 
-def _repair(bits: np.ndarray, cap: int, rng: np.random.Generator) -> np.ndarray:
-    excess = int(bits.sum()) - cap
-    if excess > 0:
-        granted_idx = np.flatnonzero(bits)
-        drop = rng.choice(granted_idx, size=excess, replace=False)
-        bits = bits.copy()
-        bits[drop] = 0
-    return bits
+def repair(population: np.ndarray, cap: int, rng: np.random.Generator) -> np.ndarray:
+    """Each row of a (P, I) bool matrix with more than `cap` grants keeps `cap` of
+    them, a uniformly random subset; other rows are returned as they are."""
+    over = np.count_nonzero(population, axis=1) > cap
+    if not over.any():
+        return population
+    rows = population[over]
+    # Ranking uniform keys over the granted bits picks which `cap` survive.
+    keys = np.where(rows, rng.random(rows.shape), np.inf)
+    kept = np.zeros_like(rows)
+    np.put_along_axis(kept, np.argsort(keys, axis=1)[:, :cap], True, axis=1)
+    population = population.copy()
+    population[over] = kept
+    return population
 
 
 def solve_ga(scenario: Scenario, cfg: GaConfig | None = None,
@@ -84,8 +90,12 @@ def solve_ga(scenario: Scenario, cfg: GaConfig | None = None,
              history: list | None = None) -> Decision:
     """Grant-bit chromosomes with repair; fitness is the full objective.
 
-    When given, `history` collects the best-ever fitness after each
-    generation (non-decreasing thanks to elitism).
+    The population is a (population, I) bool matrix bred one generation at
+    a time: elites, tournament winners, uniform crossover and bit-flip
+    mutation are drawn for every child at once, and one ``row_values``
+    call scores the whole generation. When given, `history` collects the
+    best-ever fitness after each generation (non-decreasing thanks to
+    elitism).
     """
     cfg = cfg if cfg is not None else GaConfig()
     if not isinstance(rng, np.random.Generator):
@@ -93,48 +103,36 @@ def solve_ga(scenario: Scenario, cfg: GaConfig | None = None,
     n = scenario.user_count
     if n == 0:
         return baseline_all_local(scenario)
-    cap = min(n, scenario.edge.b_max)
     mutation = cfg.mutation_rate if cfg.mutation_rate is not None else 1.0 / n
     table = SplitTable(scenario)
-    fitness_cache: dict[bytes, float] = {}
+    size = cfg.population
 
-    def fitness(bits: np.ndarray) -> float:
-        key = bits.tobytes()
-        if key not in fitness_cache:
-            fitness_cache[key] = table.value(bits.astype(bool))
-        return fitness_cache[key]
-
-    pop = [_repair((rng.random(n) < 0.5).astype(np.int8), cap, rng)
-           for _ in range(cfg.population)]
-    fits = [fitness(c) for c in pop]
+    pop = repair(rng.random((size, n)) < 0.5, table.cap, rng)
+    fits = table.row_values(pop)
     best_idx = int(np.argmax(fits))
-    best, best_fit = pop[best_idx].copy(), fits[best_idx]
+    best, best_fit = pop[best_idx], fits[best_idx]
 
     for _ in range(cfg.iterations):
-        ranked = sorted(range(len(pop)), key=lambda i: fits[i], reverse=True)
-        nxt = [pop[i].copy() for i in ranked[:cfg.elitism]]
-        while len(nxt) < cfg.population:
-            contenders = rng.integers(0, cfg.population, size=cfg.tournament)
-            p1 = pop[max(contenders, key=lambda i: fits[i])]
-            contenders = rng.integers(0, cfg.population, size=cfg.tournament)
-            p2 = pop[max(contenders, key=lambda i: fits[i])]
-            if rng.random() < cfg.crossover_prob:
-                mask = rng.random(n) < 0.5
-                child = np.where(mask, p1, p2).astype(np.int8)
-            else:
-                child = p1.copy()
-            flips = rng.random(n) < mutation
-            child = np.where(flips, 1 - child, child).astype(np.int8)
-            nxt.append(_repair(child, cap, rng))
-        pop = nxt
-        fits = [fitness(c) for c in pop]
+        # Stable on -fitness: equal fitness keeps population order, as sorted() does.
+        elites = np.argsort(-fits, kind="stable")[:cfg.elitism]
+        children = size - len(elites)
+        contenders = rng.integers(0, size, size=(2, children, cfg.tournament))
+        # argmax takes the first of equal contenders, as max() does.
+        winners = np.take_along_axis(
+            contenders, np.argmax(fits[contenders], axis=2)[..., None], axis=2)[..., 0]
+        p1, p2 = pop[winners[0]], pop[winners[1]]
+        crossed = rng.random(children) < cfg.crossover_prob
+        from_p1 = ~crossed[:, None] | (rng.random((children, n)) < 0.5)
+        offspring = np.where(from_p1, p1, p2) ^ (rng.random((children, n)) < mutation)
+        pop = np.concatenate([pop[elites], repair(offspring, table.cap, rng)])
+        fits = table.row_values(pop)
         gen_best = int(np.argmax(fits))
         if fits[gen_best] > best_fit:
-            best, best_fit = pop[gen_best].copy(), fits[gen_best]
+            best, best_fit = pop[gen_best], fits[gen_best]
         if history is not None:
-            history.append(best_fit)
+            history.append(float(best_fit))
 
-    return table.decision(best.astype(bool))
+    return table.decision(best)
 
 
 # ---------------------------------------------------------------------------
@@ -169,28 +167,30 @@ def solve_bnb(scenario: Scenario, stats: BnbStats | None = None) -> Decision:
     n = scenario.user_count
     order = np.asarray(processing_order(scenario), dtype=np.intp)
     deny, grant, cap = _fixed_split_tables(scenario, scenario.pai.n_min)
-    d = deny[order]
-    g = grant[order]
+    deny, grant = deny[order], grant[order]
 
-    # Suffix of max(deny, grant at m) for the optimistic completion, per m.
-    best_if = np.maximum(d[:, None], g[:, 1:])  # (n, cap) columns are m = 1..cap
+    # Suffix of max(deny, grant at m) for the optimistic completion, per m
+    # (column 0 unused), each summed from the last user back.
     suffix_opt = np.zeros((n + 1, cap + 1))
+    suffix_opt[:n, 1:] = np.cumsum(np.maximum(deny[:, None], grant[:, 1:])[::-1], axis=0)[::-1]
     suffix_deny = np.zeros(n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_deny[i] = suffix_deny[i + 1] + d[i]
-        for m in range(1, cap + 1):
-            suffix_opt[i, m] = suffix_opt[i + 1, m] + best_if[i, m - 1]
+    suffix_deny[:n] = np.cumsum(deny[::-1])[::-1]
+
+    # The search reads single entries, which Python lists serve far faster
+    # than numpy scalars; the float arithmetic is the same.
+    d, g = deny.tolist(), grant.tolist()
+    suffix_opt, suffix_deny = suffix_opt.tolist(), suffix_deny.tolist()
 
     best_value = float("-inf")
-    best_grants: np.ndarray | None = None
-    chosen = np.zeros(n, dtype=bool)
+    best_grants: list[bool] | None = None
+    chosen = [False] * n
 
     def dfs(depth: int, grants_so_far: int) -> None:
         nonlocal best_value, best_grants
         stats.nodes += 1
         if depth == n:
             m = grants_so_far
-            value = sum(g[i, m] if chosen[i] else d[i] for i in range(n))
+            value = sum(g[i][m] if chosen[i] else d[i] for i in range(n))
             if value > best_value:
                 best_value = value
                 best_grants = chosen.copy()
@@ -198,12 +198,12 @@ def solve_bnb(scenario: Scenario, stats: BnbStats | None = None) -> Decision:
         # Optimistic bound: committed grants at their current (minimal) count,
         # undecided users at their individually best handling.
         if grants_so_far > 0:
-            committed = sum(g[i, grants_so_far] if chosen[i] else d[i]
+            committed = sum(g[i][grants_so_far] if chosen[i] else d[i]
                             for i in range(depth))
         else:
             committed = sum(d[i] for i in range(depth) if not chosen[i])
         if grants_so_far < cap:
-            tail = suffix_opt[depth, grants_so_far + 1]
+            tail = suffix_opt[depth][grants_so_far + 1]
         else:
             tail = suffix_deny[depth]
         if committed + tail <= best_value:
@@ -265,19 +265,12 @@ def solve_exhaustive(scenario: Scenario) -> Decision:
     if n > EXHAUSTIVE_LIMIT:
         raise ValidationError(
             f"exhaustive enumeration refused for {n} users (limit {EXHAUSTIVE_LIMIT})")
-    cap = min(n, scenario.edge.b_max)
     table = SplitTable(scenario)
-    best_value = float("-inf")
-    best_grants = [False] * n
-    for mask in range(1 << n):
-        if mask.bit_count() > cap:
-            continue
-        grants = [(mask >> i) & 1 == 1 for i in range(n)]
-        value = table.value(grants)
-        if value > best_value:
-            best_value = value
-            best_grants = grants
-    return table.decision(best_grants)
+    masks = np.arange(1 << n)
+    bits = (masks[:, None] >> np.arange(n)) & 1 == 1
+    feasible = bits[np.count_nonzero(bits, axis=1) <= table.cap]
+    # argmax keeps the first best mask in ascending mask order.
+    return table.decision(feasible[int(np.argmax(table.row_values(feasible)))])
 
 
 SOLVERS = {

@@ -153,8 +153,16 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _axis_values(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise ValidationError(
+            f"--values: must be comma-separated integers, got {text!r}") from None
+
+
 def cmd_sweep(args) -> int:
-    values = tuple(int(v) for v in args.values.split(",")) if args.values else (
+    values = _axis_values(args.values) if args.values else (
         DEFAULT_USER_GRID if args.axis == "user_count" else DEFAULT_GPU_GRID)
     policy = load_policy(args.policy) if args.policy else None
     base_users = args.users if args.axis == "gpus" else 20
@@ -268,6 +276,8 @@ def main(argv=None) -> int:
     if args.command == "solve" and args.solver == "dqn" and not args.policy:
         parser.error("--solver dqn requires --policy")
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValidationError(f"--seed: must be >= 0, got {args.seed}")
         return args.func(args)
     except (ValidationError, ContractError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -180,24 +180,35 @@ class SplitTable:
         if not 1 <= m <= self.cap:
             raise ContractError(f"grant count {m} outside [1, {self.cap}]")
 
-    def _per_user(self, grants) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(grant flags, splits, values) of every user under a grant vector."""
+    def decision(self, grants) -> Decision:
+        """Each user's grant flag and optimal split under a grant vector."""
         grants = np.asarray(grants, dtype=bool)
         m = int(np.count_nonzero(grants))
         n_total = self.scenario.pai.n_total
         if m == 0:
-            return grants, np.full(grants.shape, n_total), self.deny
-        self._check_count(m)
-        return (grants, np.where(grants, self.splits[:, m - 1], n_total),
-                np.where(grants, self.values[:, m - 1], self.deny))
-
-    def decision(self, grants) -> Decision:
-        grants, splits, _ = self._per_user(grants)
+            splits = np.full(grants.shape, n_total)
+        else:
+            self._check_count(m)
+            splits = np.where(grants, self.splits[:, m - 1], n_total)
         return Decision(entries=[DecisionEntry(granted=g, split=n)
                                  for g, n in zip(grants.tolist(), splits.tolist())])
 
     def value(self, grants) -> float:
-        return sequential_sum(self._per_user(grants)[2])
+        return float(self.row_values([grants])[0])
+
+    def row_values(self, grants) -> np.ndarray:
+        """(P,) objective of each row of a (P, I) grant matrix, each equal to ``value``
+        of that row: every row is summed left to right in user order."""
+        grants = np.asarray(grants, dtype=bool)
+        m = np.count_nonzero(grants, axis=1)
+        if m.max() > self.cap:
+            raise ContractError(f"grant count {m.max()} above the cap {self.cap}")
+        if grants.shape[1] == 0:
+            return np.zeros(len(grants))
+        # A row with m = 0 grants no one, so the column it reads is never used.
+        granted = self.values[:, np.maximum(m, 1) - 1].T if self.cap else self.deny
+        per_user = np.where(grants, granted, self.deny)
+        return np.cumsum(per_user, axis=1)[:, -1]
 
 
 def sequential_sum(values: np.ndarray) -> float:

@@ -200,7 +200,7 @@ class ScenarioSource:
             self.seed_pool = 1
         if self.seed_pool < 1:
             raise ValidationError(f"seed_pool: must be >= 1, got {self.seed_pool}")
-        if self.user_range[0] > self.user_range[1] or self.user_range[0] < 1:
+        if self.scope != "specific" and not 1 <= self.user_range[0] <= self.user_range[1]:
             raise ValidationError(f"user_range: invalid {self.user_range}")
 
     @property

@@ -11,6 +11,7 @@ from diffload.baselines import (
     baseline_all_local,
     baseline_all_offload_fixed,
     baseline_all_offload_opt,
+    repair,
     solve_bnb,
     solve_count_oracle,
     solve_exhaustive,
@@ -130,6 +131,22 @@ def test_ga_finds_optimum_on_small_instance():
     assert ga == pytest.approx(exact, rel=1e-9)
 
 
+def test_repair_keeps_a_uniform_subset_of_cap_grants():
+    rng = np.random.default_rng(40)
+    population = rng.random((4000, 6)) < 0.6
+    population[:, :4] = True  # every row has at least four grants
+    for cap in (0, 2, 4, 6):
+        repaired = repair(population, cap, rng)
+        counts = np.count_nonzero(population, axis=1)
+        over = counts > cap
+        assert not (repaired & ~population).any()  # a subset of the input
+        assert (np.count_nonzero(repaired[over], axis=1) == cap).all()
+        assert (repaired[~over] == population[~over]).all()
+    # A full row capped at 2 keeps each of its six grants a third of the time.
+    kept = repair(np.ones((6000, 6), dtype=bool), 2, rng).mean(axis=0)
+    assert np.abs(kept - 1 / 3).max() < 0.03
+
+
 # -- branch & bound ---------------------------------------------------------------
 
 def test_bnb_matches_bruteforce_fixed_split():
@@ -172,6 +189,23 @@ def test_bnb_node_count_grows_with_users():
         assert big > 2 * small
 
 
+def test_bnb_search_is_pinned_on_desk_scenarios():
+    # Nodes, incumbent and grants as the search over numpy arrays gave them.
+    expected = {
+        5000: (6623, 55.64651283035301, {5, 9, 14, 16}),
+        5001: (7948, 55.28536679064953, {5, 11, 13, 19}),
+        5002: (11540, 27.379200706726884, {3, 6, 11, 18}),
+        5003: (5722, -38.316010563514936, {8, 14, 18, 19}),
+        5004: (10920, 141.07591485086527, {10, 11, 12, 15}),
+    }
+    for seed, (nodes, incumbent, denied) in expected.items():
+        scenario = make_scenario(seed=seed, users=20, b_max=16, gpus=8)
+        stats = BnbStats()
+        decision = solve_bnb(scenario, stats=stats)
+        assert (stats.nodes, stats.incumbent) == (nodes, incumbent)
+        assert {i for i, e in enumerate(decision.entries) if not e.granted} == denied
+
+
 # -- exact oracles ------------------------------------------------------------------
 
 def test_count_oracle_equals_exhaustive():
@@ -198,6 +232,20 @@ def test_exhaustive_single_user_grant_or_deny():
     grant = table.granted(0, 1)[1]
     assert objective(scenario, solve_exhaustive(scenario)) == pytest.approx(
         max(deny, grant), rel=1e-12)
+
+
+def test_exhaustive_is_the_first_best_mask_of_the_loop():
+    rng = np.random.default_rng(15)
+    for seed in range(12):
+        scenario = make_scenario(seed=seed, users=int(rng.integers(1, 10)),
+                                 b_max=int(rng.integers(0, 6)))
+        n, table = scenario.user_count, SplitTable(scenario)
+        best_value, best = -np.inf, None
+        for mask in range(1 << n):
+            grants = [(mask >> i) & 1 == 1 for i in range(n)]
+            if sum(grants) <= table.cap and table.value(grants) > best_value:
+                best_value, best = table.value(grants), grants
+        assert solve_exhaustive(scenario) == table.decision(best)
 
 
 def test_exhaustive_refuses_large_instances():

@@ -304,6 +304,36 @@ def test_train_files_keep_their_bytes(tmp_path, scenario_file):
     }
 
 
+def test_train_specific_ignores_the_user_range_of_other_scopes(tmp_path, capsys):
+    # --users-min (default 10) bounds the drawn user counts of the general and
+    # gpu scopes only; a specific scenario of 3 users draws none.
+    out = tmp_path / "p.json"
+    assert run(["train", "--scope", "specific", "--seed", 5, "--episodes", 2,
+                "--users", 3, "-o", out]) == 0
+    assert json.loads(out.read_text())["i_max"] == 3
+    assert run(["train", "--scope", "gpu", "--seed", 5, "--episodes", 2,
+                "--users", 3, "-o", tmp_path / "q.json"]) == 2
+    assert "user_range: invalid (10, 3)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["generate", "--seed", -1, "--users", 5], "--seed"),
+    (["solve", "SCENARIO", "--solver", "ga", "--seed", -1], "--seed"),
+    (["sweep", "--values", 3, "--cases", 1, "--seed", -1], "--seed"),
+    (["train", "--scope", "specific", "--seed", -5, "--episodes", 1, "--users", 3,
+      "--users-min", 1], "--seed"),
+    (["sweep", "--values", "3,x", "--cases", 1, "--seed", 1], "--values"),
+    (["sweep", "--values", ",3", "--cases", 1, "--seed", 1], "--values"),
+])
+def test_negative_seed_or_malformed_values_is_clean_error(tmp_path, scenario_file, capsys,
+                                                          argv, flag):
+    out = tmp_path / "out"
+    argv = [scenario_file if a == "SCENARIO" else a for a in argv]
+    assert run(argv + ["-o", out]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag}: must be")
+    assert not out.exists()
+
+
 # -- sweep / plot -----------------------------------------------------------------
 
 def test_sweep_row_count_and_determinism(tmp_path):

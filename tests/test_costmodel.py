@@ -156,6 +156,42 @@ def test_table_rejects_grant_counts_outside_its_grid():
             table.granted(0, m)
 
 
+def loop_value(table, grants):
+    """A grant row's objective added user by user, as a Python loop adds."""
+    m = sum(grants)
+    total = 0.0
+    for i, granted in enumerate(grants):
+        total += float(table.values[i, m - 1] if granted else table.deny[i])
+    return total
+
+
+@pytest.mark.parametrize("users, b_max", [(12, 5), (9, 20), (1, 1), (1, 0), (6, 0)])
+def test_row_values_is_the_per_row_loop_bit_for_bit(users, b_max):
+    rng = np.random.default_rng(users * 31 + b_max)
+    for _ in range(5):
+        table = SplitTable(wide_scenario(rng, users=users, b_max=b_max))
+        rows = [np.zeros(users, dtype=bool)]  # m = 0
+        for m in range(1, table.cap + 1):  # every m up to cap, random members
+            row = np.zeros(users, dtype=bool)
+            row[rng.choice(users, size=m, replace=False)] = True
+            rows.append(row)
+        grants = np.array(rows)
+        values = table.row_values(grants)
+        assert values.shape == (len(rows),)
+        for row, value in zip(grants, values.tolist()):
+            assert value == table.value(row) == loop_value(table, row.tolist())
+
+
+def test_row_values_rejects_a_row_above_cap():
+    table = SplitTable(make_scenario(seed=1, users=5, b_max=3))
+    grants = np.zeros((3, 5), dtype=bool)
+    grants[1, :4] = True
+    with pytest.raises(ContractError, match="grant count 4"):
+        table.row_values(grants)
+    with pytest.raises(ContractError, match="grant count 4"):
+        table.value(grants[1])
+
+
 @pytest.mark.parametrize("name", sorted(SOLVERS))
 def test_every_solver_returns_the_empty_decision_for_no_users(name):
     scenario = replace(make_scenario(seed=2, users=3, b_max=4), users=[])
