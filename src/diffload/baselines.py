@@ -52,15 +52,19 @@ baseline_all_local = all_local_decision
 # Genetic algorithm
 # ---------------------------------------------------------------------------
 
+# The GA's operators: tournament size, the chance that a child is a uniform
+# crossover rather than a copy of its first parent, and the best rows carried
+# over unchanged. Each bit of a child flips with probability 1 / user count.
+TOURNAMENT = 3
+CROSSOVER_PROB = 0.5
+ELITISM = 2
+GA_SEED = 0  # used when no generator is passed to solve_ga
+
+
 @dataclass(frozen=True)
 class GaConfig:
     population: int = 100
     iterations: int = 200
-    tournament: int = 3
-    crossover_prob: float = 0.5
-    mutation_rate: float | None = None  # default 1 / user_count
-    elitism: int = 2
-    seed: int = 0  # used when no generator is passed to solve_ga
 
     def __post_init__(self):
         if self.population < 2:
@@ -99,11 +103,11 @@ def solve_ga(scenario: Scenario, cfg: GaConfig | None = None,
     """
     cfg = cfg if cfg is not None else GaConfig()
     if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(cfg.seed if rng is None else rng)
+        rng = np.random.default_rng(GA_SEED if rng is None else rng)
     n = scenario.user_count
     if n == 0:
         return baseline_all_local(scenario)
-    mutation = cfg.mutation_rate if cfg.mutation_rate is not None else 1.0 / n
+    mutation = 1.0 / n
     table = SplitTable(scenario)
     size = cfg.population
 
@@ -114,14 +118,14 @@ def solve_ga(scenario: Scenario, cfg: GaConfig | None = None,
 
     for _ in range(cfg.iterations):
         # Stable on -fitness: equal fitness keeps population order, as sorted() does.
-        elites = np.argsort(-fits, kind="stable")[:cfg.elitism]
+        elites = np.argsort(-fits, kind="stable")[:ELITISM]
         children = size - len(elites)
-        contenders = rng.integers(0, size, size=(2, children, cfg.tournament))
+        contenders = rng.integers(0, size, size=(2, children, TOURNAMENT))
         # argmax takes the first of equal contenders, as max() does.
         winners = np.take_along_axis(
             contenders, np.argmax(fits[contenders], axis=2)[..., None], axis=2)[..., 0]
         p1, p2 = pop[winners[0]], pop[winners[1]]
-        crossed = rng.random(children) < cfg.crossover_prob
+        crossed = rng.random(children) < CROSSOVER_PROB
         from_p1 = ~crossed[:, None] | (rng.random((children, n)) < 0.5)
         offspring = np.where(from_p1, p1, p2) ^ (rng.random((children, n)) < mutation)
         pop = np.concatenate([pop[elites], repair(offspring, table.cap, rng)])

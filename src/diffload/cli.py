@@ -95,7 +95,6 @@ def cmd_train(args) -> int:
         edge=edge,
         pai=PaiParams(),
         seed=args.seed,
-        seed_pool={"general": 2000, "gpu": 1000, "specific": 1}[args.scope],
         user_range=(args.users_min, args.users),
         fixed_scenario=fixed,
     )
@@ -178,9 +177,9 @@ def cmd_sweep(args) -> int:
         master_seed=args.seed,
         timing=args.timing,
     )
+    rows = run_sweep(cfg)
     directory = out_dir(args)
     directory.mkdir(parents=True, exist_ok=True)
-    rows = run_sweep(cfg)
     report_path = directory / "report.csv"
     write_report(rows, report_path)
     write_summary(rows, directory / "summary.csv")
@@ -279,7 +278,7 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:
             raise ValidationError(f"--seed: must be >= 0, got {args.seed}")
         return args.func(args)
-    except (ValidationError, ContractError, FileNotFoundError) as exc:
+    except (ValidationError, ContractError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -27,6 +27,10 @@ EMBED_DIM = 3
 N_ACTIONS = 2
 
 
+# Adam's moment decay rates and denominator offset, the standard values.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 # Adam steps between flushes of subnormal moments to zero.
 _FLUSH_EVERY = 100
 
@@ -200,7 +204,7 @@ class QNetwork:
 
 
 class Adam:
-    """Adaptive-moment optimizer with the standard defaults.
+    """Adaptive-moment optimizer with the standard `ADAM_*` settings.
 
     All updates run in place through preallocated scratch buffers; on a
     CPU-bound training loop the allocation churn of the textbook five-line
@@ -216,13 +220,9 @@ class Adam:
     (1e-34 in float32), far below the rounding step of the weight.
     """
 
-    def __init__(self, params: dict[str, np.ndarray], lr: float = 1e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, np.ndarray], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
@@ -231,21 +231,21 @@ class Adam:
     def step(self, grads: dict[str, np.ndarray]) -> None:
         """One update from `grads`, keyed like the weights."""
         self.t += 1
-        bias1 = 1 - self.beta1 ** self.t
-        bias2 = 1 - self.beta2 ** self.t
+        bias1 = 1 - ADAM_BETA1 ** self.t
+        bias2 = 1 - ADAM_BETA2 ** self.t
         for key, g in grads.items():
             m, v, buf = self.m[key], self.v[key], self._buf[key]
-            m *= self.beta1
-            np.multiply(g, 1 - self.beta1, out=buf)
+            m *= ADAM_BETA1
+            np.multiply(g, 1 - ADAM_BETA1, out=buf)
             m += buf
-            v *= self.beta2
+            v *= ADAM_BETA2
             np.multiply(g, g, out=buf)
-            buf *= 1 - self.beta2
+            buf *= 1 - ADAM_BETA2
             v += buf
             # param -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
             np.sqrt(v, out=buf)
             buf /= math.sqrt(bias2)
-            buf += self.eps
+            buf += ADAM_EPS
             np.divide(m, buf, out=buf)
             buf *= self.lr / bias1
             self.params[key] -= buf

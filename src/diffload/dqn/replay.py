@@ -19,6 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Sampling priority is (|TD error| + PRIORITY_OFFSET) ** PRIORITY_EXPONENT;
+# importance-sampling weights are (N * P) ** -IS_EXPONENT, max-normalized.
+PRIORITY_EXPONENT = 0.7
+PRIORITY_OFFSET = 2e-5
+IS_EXPONENT = 0.3
+
 
 class SumTree:
     """Binary sum tree over a ring of leaf weights, with typed item columns."""
@@ -127,14 +133,9 @@ class Sample:
 
 
 class ReplayBuffer:
-    def __init__(self, capacity: int = 400_000, terminal_fraction: float = 0.125,
-                 priority_exponent: float = 0.7, is_exponent: float = 0.3,
-                 priority_offset: float = 2e-5):
+    def __init__(self, capacity: int, terminal_fraction: float = 0.125):
         term_cap = max(1, int(capacity * terminal_fraction))
         self.capacity = capacity
-        self.priority_exponent = priority_exponent
-        self.is_exponent = is_exponent
-        self.priority_offset = priority_offset
         self.terminal = SumTree(term_cap)
         self.regular = SumTree(capacity - term_cap)
 
@@ -173,7 +174,7 @@ class ReplayBuffer:
                           weights_at / tree.total, np.full(count, float(tree.size))))
         features, actions, rewards, next_features, leaves, probs, sizes = (
             np.concatenate(column) for column in zip(*parts))
-        weights = (sizes * probs) ** (-self.is_exponent)
+        weights = (sizes * probs) ** (-IS_EXPONENT)
         weights = weights / weights.max()
         terminal_mask = np.arange(batch_size) < terminal_quota
         return Sample(features=features, actions=actions, rewards=rewards,
@@ -183,7 +184,7 @@ class ReplayBuffer:
     def update_priorities(self, sample: Sample, td_errors: np.ndarray) -> None:
         """Reprioritize the sampled transitions by their TD errors, in float64."""
         td_errors = np.asarray(td_errors, dtype=np.float64)
-        weights = (np.abs(td_errors) + self.priority_offset) ** self.priority_exponent
+        weights = (np.abs(td_errors) + PRIORITY_OFFSET) ** PRIORITY_EXPONENT
         for tree, part in ((self.terminal, sample.terminal_mask),
                            (self.regular, ~sample.terminal_mask)):
             tree.update(sample.leaves[part], weights[part])

@@ -8,11 +8,12 @@ epsilon gate decides between Boltzmann sampling and the greedy action, and
 both epsilon and the Boltzmann temperature decay linearly over the budget.
 
 TD targets come from a target network refreshed by a hard copy every
-`target_sync` gradient steps. With `gamma = 1` and every user's latency paid
-on the terminal step (see `env.assign_rewards`), the value of granting an
-early user reaches that user's decision only by bootstrapping back one step
-per copy. The budget must therefore hold several copies per decision of an
-episode, or the early grant decisions never see the latency they cause.
+`target_sync` gradient steps. With undiscounted targets and every user's
+latency paid on the terminal step (see `env.assign_rewards`), the value of
+granting an early user reaches that user's decision only by bootstrapping
+back one step per copy. The budget must therefore hold several copies per
+decision of an episode, or the early grant decisions never see the latency
+they cause.
 
 Everything is driven by one seeded generator, so a fixed seed reproduces
 the learning curve and the final weights bit for bit.
@@ -49,9 +50,15 @@ SCOPES = ("general", "gpu", "specific")
 TRAIN_DTYPE = np.float32
 
 
+# The paper's learning settings, which no caller changes.
+LEARNING_RATE = 1e-4
+EPS_START, EPS_END = 0.5, 0.001   # epsilon gate, annealed linearly
+TAU_START, TAU_END = 5.0, 0.01    # Boltzmann temperature, annealed linearly
+REWARD_SCALE = 0.1                # rewards are stored scaled by this
+
+
 @dataclass(frozen=True)
 class TrainHyper:
-    lr: float = 1e-4
     batch_size: int = 128
     terminal_quota: int = 16          # terminal samples per batch (1:7 ratio)
     # Train steps between hard target copies. Terminal latency credit moves
@@ -59,15 +66,6 @@ class TrainHyper:
     # must hold several copies per decision: 4000 twenty-user episodes at
     # train_every 2 allow 80.
     target_sync: int = 500
-    eps_start: float = 0.5
-    eps_end: float = 0.001
-    tau_start: float = 5.0
-    tau_end: float = 0.01
-    priority_exponent: float = 0.7
-    is_exponent: float = 0.3
-    priority_offset: float = 2e-5
-    gamma: float = 1.0
-    reward_scale: float = 0.1
     capacity: int = 400_000
     episodes: int = 4000
     train_every: float = 2            # env steps per gradient step; < 1 replays harder
@@ -76,15 +74,9 @@ class TrainHyper:
     def __post_init__(self):
         if self.episodes < 1:
             raise ValidationError(f"episodes: must be >= 1, got {self.episodes}")
-        for name in ("lr", "batch_size", "target_sync", "tau_start", "tau_end",
-                     "priority_exponent", "priority_offset", "reward_scale",
-                     "capacity", "train_every"):
+        for name in ("batch_size", "target_sync", "capacity", "train_every"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name}: must be positive")
-        if not 0 <= self.eps_end <= self.eps_start <= 1:
-            raise ValidationError("eps schedule must satisfy 0 <= end <= start <= 1")
-        if self.tau_end > self.tau_start:
-            raise ValidationError("tau schedule must be non-increasing")
         if not 0 < self.terminal_quota < self.batch_size:
             raise ValidationError("terminal_quota must be in (0, batch_size)")
 
@@ -114,17 +106,18 @@ def select_action(net: QNetwork, features: np.ndarray, eps: float, tau: float,
 
 
 def td_targets(rewards: np.ndarray, next_features: np.ndarray, dones: np.ndarray,
-               target_net: QNetwork, gamma: float) -> np.ndarray:
-    """One-step targets in the target network's dtype; terminal transitions do not bootstrap.
+               target_net: QNetwork) -> np.ndarray:
+    """Undiscounted one-step targets in the target network's dtype.
 
-    The target network's forward pass reuses the arrays that network keeps
-    for `forward_cached`; the targets returned are a new array.
+    Terminal transitions do not bootstrap. The target network's forward
+    pass reuses the arrays that network keeps for `forward_cached`; the
+    targets returned are a new array.
     """
     y = rewards.astype(target_net.dtype)
     live = ~dones
     if live.any():
         q_next, _ = target_net.forward_cached(next_features[live])
-        y[live] += gamma * q_next.max(axis=1)
+        y[live] += q_next.max(axis=1)
     return y
 
 
@@ -136,7 +129,7 @@ def train_step(net: QNetwork, target_net: QNetwork, adam: Adam,
         return None
     sample = buffer.sample(hyper.batch_size, hyper.terminal_quota, rng)
     targets = td_targets(sample.rewards, sample.next_features, sample.terminal_mask,
-                         target_net, hyper.gamma)
+                         target_net)
     q, cache = net.forward_cached(sample.features)
     rows = np.arange(len(sample.actions))
     td = targets - q[rows, sample.actions]
@@ -149,7 +142,7 @@ def train_step(net: QNetwork, target_net: QNetwork, adam: Adam,
 
 
 def _push_episode(buffer: ReplayBuffer, transitions: list[Transition],
-                  rewards: list[float], reward_scale: float) -> None:
+                  rewards: list[float]) -> None:
     """Push one episode into the replay buffer, one call per partition.
 
     Features are stored in `TRAIN_DTYPE`, as the network narrows them.
@@ -157,7 +150,7 @@ def _push_episode(buffer: ReplayBuffer, transitions: list[Transition],
     done = np.array([tr.done for tr in transitions])
     features = np.array([tr.features for tr in transitions], dtype=TRAIN_DTYPE)
     actions = np.array([tr.action for tr in transitions])
-    scaled = np.array(rewards) * reward_scale
+    scaled = np.array(rewards) * REWARD_SCALE
     next_features = np.array([tr.next_features for tr in transitions], dtype=TRAIN_DTYPE)
     for terminal in (True, False):
         rows = done == terminal
@@ -170,6 +163,12 @@ def _derive(seed: int, *key: int) -> tuple[np.random.Generator, int]:
     ss = np.random.SeedSequence((seed, *key))
     pick, scen = ss.spawn(2)
     return np.random.default_rng(pick), int(scen.generate_state(1)[0])
+
+
+# Episodes per cycle of distinct scenarios, by scope.
+SEED_POOLS = {"general": 2000, "gpu": 1000, "specific": 1}
+# Edge GPU counts the general scope draws from.
+GPU_CHOICES = (2, 4, 8, 16)
 
 
 @dataclass
@@ -187,8 +186,6 @@ class ScenarioSource:
     edge: EdgeConfig
     pai: PaiParams
     seed: int
-    seed_pool: int = 2000
-    gpu_choices: tuple[int, ...] = (2, 4, 8, 16)
     user_range: tuple[int, int] = (10, 20)
     fixed_scenario: Scenario | None = None
     _cache: dict = field(default_factory=dict, repr=False)
@@ -196,10 +193,6 @@ class ScenarioSource:
     def __post_init__(self):
         if self.scope not in SCOPES:
             raise ValidationError(f"scope: must be one of {SCOPES}, got {self.scope!r}")
-        if self.scope == "specific":
-            self.seed_pool = 1
-        if self.seed_pool < 1:
-            raise ValidationError(f"seed_pool: must be >= 1, got {self.seed_pool}")
         if self.scope != "specific" and not 1 <= self.user_range[0] <= self.user_range[1]:
             raise ValidationError(f"user_range: invalid {self.user_range}")
 
@@ -215,7 +208,7 @@ class ScenarioSource:
         """Normalization constant for the alpha feature, fixed per policy."""
         if self.scope == "specific" and self.fixed_scenario is not None:
             return max(u.alpha for u in self.fixed_scenario.users)
-        gpus = max(self.gpu_choices) if self.scope == "general" else self.edge.gpus
+        gpus = max(GPU_CHOICES) if self.scope == "general" else self.edge.gpus
         edge = replace(self.edge, gpus=gpus)
         bands = [alpha_band(dev, self.generator, edge, self.pai)
                  for dev, _ in self.generator.device_catalog]
@@ -224,7 +217,7 @@ class ScenarioSource:
     def scenario_for_episode(self, episode: int) -> Scenario:
         if self.scope == "specific" and self.fixed_scenario is not None:
             return self.fixed_scenario
-        key = episode % self.seed_pool
+        key = episode % SEED_POOLS[self.scope]
         if key in self._cache:
             return self._cache[key]
         pick_rng, scen_seed = _derive(self.seed, key)
@@ -233,7 +226,7 @@ class ScenarioSource:
             users = int(pick_rng.integers(self.user_range[0], self.user_range[1] + 1))
             cfg = replace(cfg, user_count=users)
         if self.scope == "general":
-            edge = replace(edge, gpus=int(pick_rng.choice(self.gpu_choices)))
+            edge = replace(edge, gpus=int(pick_rng.choice(GPU_CHOICES)))
         scenario = generate_scenario(scen_seed, cfg, edge, self.pai)
         self._cache[key] = scenario
         return scenario
@@ -272,11 +265,8 @@ def train(source: ScenarioSource, hyper: TrainHyper, seed: int,
     alpha_scale = source.alpha_scale()
     net = QNetwork(i_max, rng=rng, dtype=TRAIN_DTYPE)
     target = net.clone()
-    adam = Adam(net.params, lr=hyper.lr)
-    buffer = ReplayBuffer(hyper.capacity, terminal_fraction=hyper.terminal_quota / hyper.batch_size,
-                          priority_exponent=hyper.priority_exponent,
-                          is_exponent=hyper.is_exponent,
-                          priority_offset=hyper.priority_offset)
+    adam = Adam(net.params, lr=LEARNING_RATE)
+    buffer = ReplayBuffer(hyper.capacity, terminal_fraction=hyper.terminal_quota / hyper.batch_size)
     explore = hyper.explore_steps
     if explore is None:
         explore = int(0.8 * hyper.episodes * i_max)
@@ -290,8 +280,8 @@ def train(source: ScenarioSource, hyper: TrainHyper, seed: int,
     def exploring(features: np.ndarray) -> int:
         """The annealed exploration policy at the current env step."""
         nonlocal env_steps
-        eps = linear_schedule(hyper.eps_start, hyper.eps_end, env_steps, explore)
-        tau = linear_schedule(hyper.tau_start, hyper.tau_end, env_steps, explore)
+        eps = linear_schedule(EPS_START, EPS_END, env_steps, explore)
+        tau = linear_schedule(TAU_START, TAU_END, env_steps, explore)
         env_steps += 1
         return select_action(net, features, eps, tau, rng)
 
@@ -300,7 +290,7 @@ def train(source: ScenarioSource, hyper: TrainHyper, seed: int,
         record = run_episode(scenario, exploring, i_max, alpha_scale)
         rewards = assign_rewards(record, scenario)
         returns.append(sum(rewards))
-        _push_episode(buffer, record.transitions, rewards, hyper.reward_scale)
+        _push_episode(buffer, record.transitions, rewards)
 
         credit += len(record.transitions) / hyper.train_every
         while credit >= 1.0:

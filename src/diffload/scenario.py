@@ -178,6 +178,8 @@ DEFAULT_CATALOG: tuple[tuple[DeviceProfile, float], ...] = (
 
 DEFAULT_PROMPT_BITS = 216.0
 DEFAULT_INTERMEDIATE_BITS = 4.4e6
+# Substitute latency gap in the alpha band of a device no slower than the edge.
+ALPHA_FLOOR_DELTA = 1e-3
 
 
 @dataclass(frozen=True)
@@ -207,9 +209,6 @@ class GeneratorConfig:
     alpha_bhat: int = 20
     alpha_kappa: float = 0.05
     alpha_ref_gpus: int | None = None
-    alpha_floor_delta: float = 1e-3  # substitute latency gap when the band degenerates
-    prompt_bits: float = DEFAULT_PROMPT_BITS
-    intermediate_bits: float = DEFAULT_INTERMEDIATE_BITS
 
     def __post_init__(self):
         _require(self.user_count >= 1, "user_count", f"must be >= 1, got {self.user_count}")
@@ -217,8 +216,6 @@ class GeneratorConfig:
         _require(0 < self.alpha_kappa <= 1, "alpha_kappa",
                  f"must be in (0, 1], got {self.alpha_kappa}")
         _require(self.alpha_bhat >= 1, "alpha_bhat", f"must be >= 1, got {self.alpha_bhat}")
-        _require(0 < self.alpha_floor_delta < math.inf, "alpha_floor_delta",
-                 f"must be finite and > 0, got {self.alpha_floor_delta}")
         for dev, w in self.device_catalog:
             _require(w > 0, "device_catalog", f"weight for {dev.name} must be > 0, got {w}")
 
@@ -247,7 +244,7 @@ def alpha_band(device: DeviceProfile, cfg: GeneratorConfig, edge: EdgeConfig,
         # Local inference is already at least as fast as the edge at the
         # assumed batch; the trade-off band is empty. Fall back to the band's
         # lower edge computed with a small positive latency gap.
-        return cfg.alpha_floor_delta / lo_den, cfg.alpha_floor_delta / lo_den, True
+        return ALPHA_FLOOR_DELTA / lo_den, ALPHA_FLOOR_DELTA / lo_den, True
     lo = delta / lo_den
     hi = cfg.alpha_kappa * delta / hi_den
     _require(hi >= lo, "alpha_kappa",
@@ -274,8 +271,8 @@ def generate_scenario(seed: int, cfg: GeneratorConfig, edge: EdgeConfig,
             device=device,
             alpha=alpha,
             request_slot=slot,
-            prompt_bits=cfg.prompt_bits,
-            intermediate_bits=cfg.intermediate_bits,
+            prompt_bits=DEFAULT_PROMPT_BITS,
+            intermediate_bits=DEFAULT_INTERMEDIATE_BITS,
             alpha_clamped=clamped,
         ))
     return Scenario(users=users, edge=edge, pai=pai, seed=seed)

@@ -26,7 +26,7 @@ from .costmodel import CostModel, sequential_sum
 from .dqn import TrainedPolicy, greedy_solve
 from .qoe import Decision, objective
 from .scenario import (EdgeConfig, GeneratorConfig, PaiParams, Scenario, ValidationError,
-                       default_edge, generate_scenario)
+                       generate_scenario)
 
 REPORT_HEADER = ["solver", "axis", "axis_value", "case_seed", "objective",
                  "mean_pai_term", "mean_e2e_latency_s", "decision_time_s",
@@ -44,10 +44,10 @@ class ExperimentConfig:
     axis: str                      # "user_count" | "gpus"
     values: tuple[int, ...]
     solvers: tuple[str, ...]
+    generator: GeneratorConfig
+    edge: EdgeConfig
+    pai: PaiParams
     cases: int = 100
-    generator: GeneratorConfig | None = None
-    edge: EdgeConfig | None = None
-    pai: PaiParams | None = None
     policy: TrainedPolicy | None = None
     master_seed: int = 0
     timing: bool = False
@@ -92,11 +92,7 @@ def case_seed(master_seed: int, case_index: int) -> int:
 
 
 def scenario_for_case(cfg: ExperimentConfig, axis_value: int, case_index: int) -> Scenario:
-    generator = cfg.generator
-    edge = cfg.edge if cfg.edge is not None else default_edge()
-    pai = cfg.pai if cfg.pai is not None else PaiParams()
-    if generator is None:
-        generator = GeneratorConfig(user_count=20)
+    generator, edge = cfg.generator, cfg.edge
     if cfg.axis == "user_count":
         generator = replace(generator, user_count=axis_value)
     else:
@@ -104,7 +100,7 @@ def scenario_for_case(cfg: ExperimentConfig, axis_value: int, case_index: int) -
         # identical at every point of the GPU axis.
         generator = replace(generator, alpha_ref_gpus=edge.gpus)
         edge = replace(edge, gpus=axis_value)
-    return generate_scenario(case_seed(cfg.master_seed, case_index), generator, edge, pai)
+    return generate_scenario(case_seed(cfg.master_seed, case_index), generator, edge, cfg.pai)
 
 
 def decision_summary(scenario: Scenario, decision: Decision) -> tuple[float, float, float]:
@@ -185,16 +181,36 @@ def write_summary(rows: list[ReportRow], path: str | Path) -> None:
 
 
 def read_report(path: str | Path) -> list[ReportRow]:
+    """Read a report written by `write_report`.
+
+    A report without the report columns, with a field that does not parse
+    or a value that is not finite, or with no rows raises `ValidationError`.
+    """
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            rows.append(ReportRow(
-                solver=rec["solver"], axis=rec["axis"],
-                axis_value=int(rec["axis_value"]), case_seed=int(rec["case_seed"]),
-                objective=float(rec["objective"]),
-                mean_pai_term=float(rec["mean_pai_term"]),
-                mean_e2e_latency_s=float(rec["mean_e2e_latency_s"]),
-                decision_time_s=float(rec["decision_time_s"]),
-                grant_count=int(rec["grant_count"])))
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            missing = [name for name in REPORT_HEADER if name not in (reader.fieldnames or ())]
+            if missing:
+                raise ValidationError(f"{path}: report lacks the columns {missing}")
+            for rec in reader:
+                row = ReportRow(
+                    solver=rec["solver"], axis=rec["axis"],
+                    axis_value=int(rec["axis_value"]), case_seed=int(rec["case_seed"]),
+                    objective=float(rec["objective"]),
+                    mean_pai_term=float(rec["mean_pai_term"]),
+                    mean_e2e_latency_s=float(rec["mean_e2e_latency_s"]),
+                    decision_time_s=float(rec["decision_time_s"]),
+                    grant_count=int(rec["grant_count"]))
+                if not all(map(math.isfinite, (row.objective, row.mean_pai_term,
+                                               row.mean_e2e_latency_s, row.decision_time_s))):
+                    raise ValidationError(
+                        f"{path}: line {reader.line_num}: values must be finite")
+                rows.append(row)
+    except ValidationError:
+        raise
+    except (TypeError, ValueError, csv.Error) as exc:
+        raise ValidationError(f"{path}: malformed report ({exc})") from exc
+    if not rows:
+        raise ValidationError(f"{path}: report holds no rows")
     return rows

@@ -8,7 +8,7 @@ from diffload.cli import main
 from diffload.dqn import QNetwork, TrainedPolicy, save_policy
 from diffload.qoe import fitted_pai, objective
 from diffload.scenario import load_scenario
-from diffload.sweep import read_report
+from diffload.sweep import REPORT_HEADER, read_report
 
 
 def run(argv):
@@ -324,6 +324,15 @@ def test_train_specific_ignores_the_user_range_of_other_scopes(tmp_path, capsys)
       "--users-min", 1], "--seed"),
     (["sweep", "--values", "3,x", "--cases", 1, "--seed", 1], "--values"),
     (["sweep", "--values", ",3", "--cases", 1, "--seed", 1], "--values"),
+    (["generate", "--seed", 1, "--users", 0], "user_count"),
+    (["generate", "--seed", 1, "--b-max", -1], "b_max"),
+    (["sweep", "--values", 0, "--cases", 1, "--seed", 1], "user_count"),
+    (["sweep", "--axis", "gpus", "--values", 0, "--cases", 1, "--seed", 1], "gpus"),
+    (["sweep", "--cases", 0, "--seed", 1], "cases"),
+    (["train", "--scope", "specific", "--seed", 1, "--episodes", 1, "--users", 3,
+      "--train-every", 0], "train_every"),
+    (["train", "--scope", "specific", "--seed", 1, "--episodes", 0, "--users", 3], "episodes"),
+    (["train", "--scope", "general", "--seed", 1, "--episodes", 1, "--gpus", 0], "gpus"),
 ])
 def test_negative_seed_or_malformed_values_is_clean_error(tmp_path, scenario_file, capsys,
                                                           argv, flag):
@@ -332,6 +341,27 @@ def test_negative_seed_or_malformed_values_is_clean_error(tmp_path, scenario_fil
     assert run(argv + ["-o", out]) == 2
     assert capsys.readouterr().err.startswith(f"error: {flag}: must be")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["solve", "{dir}", "--solver", "b3", "-o", "{out}"], "Is a directory"),
+    (["solve", "{scenario}", "--solver", "dqn", "--policy", "{dir}", "-o", "{out}"],
+     "Is a directory"),
+    (["generate", "--seed", 1, "-o", "{dir}"], "Is a directory"),
+    (["solve", "{scenario}", "--solver", "b3", "-o", "{dir}"], "Is a directory"),
+    (["plot", "--report", "{dir}", "-o", "{out}"], "Is a directory"),
+    (["sweep", "--values", 3, "--cases", 1, "--seed", 1, "-o", "{file}"], "File exists"),
+    (["generate", "--seed", 1, "-o", "{file}/x.json"], "Not a directory"),
+])
+def test_path_of_the_wrong_kind_is_clean_error(tmp_path, scenario_file, capsys, argv, reason):
+    places = {"dir": tmp_path / "dir", "file": tmp_path / "file", "out": tmp_path / "out",
+              "scenario": scenario_file}
+    places["dir"].mkdir()
+    places["file"].write_text("")
+    assert run([str(a).format(**places) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno") and reason in err
+    assert not places["out"].exists()
 
 
 # -- sweep / plot -----------------------------------------------------------------
@@ -419,3 +449,28 @@ def test_sweep_timing_column_zero_without_flag(tmp_path):
          "--seed", 37, "-o", out2, "--timing"])
     rows = read_report(out2 / "report.csv")
     assert all(row.decision_time_s > 0.0 for row in rows)
+
+
+REPORT_ROW = "b1,user_count,4,123,1.5,0.5,0.1,0.0,2"
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("solver,axis\nb1,user_count\n", "lacks the columns"),
+    (",".join(REPORT_HEADER) + "\n" + REPORT_ROW.replace(",4,", ",4.5,") + "\n",
+     "invalid literal for int()"),
+    ("", "lacks the columns"),
+    (",".join(REPORT_HEADER) + "\n", "holds no rows"),
+    (",".join(REPORT_HEADER) + "\n" + REPORT_ROW.replace(",1.5,", ",nan,") + "\n",
+     "must be finite"),
+    ("\udcff", "malformed report"),
+], ids=["missing-columns", "fractional-axis-value", "empty", "header-only", "nan-objective",
+        "not-utf8"])
+def test_plot_of_a_malformed_report_is_clean_error(tmp_path, capsys, text, reason):
+    report, out = tmp_path / "report.csv", tmp_path / "out"
+    report.write_text(text, errors="surrogateescape")
+    assert run(["plot", "--report", report, "-o", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and reason in err
+    assert not (out / "objective_vs_axis.svg").exists()
+    report.write_text(",".join(REPORT_HEADER) + "\n" + REPORT_ROW + "\n")
+    assert run(["plot", "--report", report, "-o", out]) == 0

@@ -253,7 +253,7 @@ def test_adam_flush_zeroes_subnormals_and_keeps_normals(dtype):
     info = np.finfo(dtype)
     rng = np.random.default_rng(9)
     net = QNetwork(i_max=2, hidden=(8,), rng=rng, dtype=dtype)
-    adam = Adam(net.params)
+    adam = Adam(net.params, lr=1e-4)
     for moments in (adam.m, adam.v):
         for key, moment in moments.items():
             flat = moment.reshape(-1)
@@ -278,7 +278,7 @@ def test_adam_flush_zeroes_subnormals_and_keeps_normals(dtype):
 def test_adam_flushes_on_its_own_schedule():
     """A moment that decays into the subnormal range is zero after the next flush step."""
     net = QNetwork(i_max=2, hidden=(8,), rng=np.random.default_rng(3), dtype=np.float32)
-    adam = Adam(net.params)
+    adam = Adam(net.params, lr=1e-4)
     zero = {k: np.zeros_like(v) for k, v in net.params.items()}
     adam.m["W0"][0, 0] = np.finfo(np.float32).smallest_subnormal * 4
     for _ in range(_FLUSH_EVERY - 1):

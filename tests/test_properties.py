@@ -64,7 +64,7 @@ def draw_scenario(rng):
 def policy():
     """A tiny general-scope policy, trained in float32, that takes up to MAX_USERS users."""
     source = ScenarioSource(scope="general", generator=GeneratorConfig(user_count=MAX_USERS),
-                            edge=default_edge(), pai=PaiParams(), seed=5, seed_pool=20,
+                            edge=default_edge(), pai=PaiParams(), seed=5,
                             user_range=(1, MAX_USERS))
     hyper = TrainHyper(episodes=30, target_sync=50, capacity=4000, batch_size=16,
                        terminal_quota=2, train_every=2)

@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from diffload.dqn.replay import ReplayBuffer, SumTree
+from diffload.dqn.replay import PRIORITY_EXPONENT, PRIORITY_OFFSET, ReplayBuffer, SumTree
 
 
 def spearman(xs, ys):
@@ -140,7 +140,7 @@ def test_uniform_priorities_give_unit_is_weights():
 
 
 def test_inclusion_frequency_monotone_in_priority():
-    buf = ReplayBuffer(capacity=1000, priority_exponent=0.7)
+    buf = ReplayBuffer(capacity=1000)
     rng = np.random.default_rng(7)
     for i in range(64):
         push_one(buf, REGULAR, i, terminal=False)
@@ -150,7 +150,7 @@ def test_inclusion_frequency_monotone_in_priority():
     priorities = np.linspace(0.01, 2.0, 64)
     for leaf_offset, p in enumerate(priorities):
         leaf = buf.regular.capacity - 1 + leaf_offset
-        buf.regular.update([leaf], [(p + buf.priority_offset) ** buf.priority_exponent])
+        buf.regular.update([leaf], [(p + PRIORITY_OFFSET) ** PRIORITY_EXPONENT])
     counts = Counter()
     for _ in range(4000):
         sample = buf.sample(32, 2, rng)

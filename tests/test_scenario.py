@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from diffload.scenario import (
+    ALPHA_FLOOR_DELTA,
     DeviceProfile,
     EdgeConfig,
     GeneratorConfig,
@@ -77,7 +78,7 @@ def test_degenerate_alpha_band_clamps_and_flags():
     scenario = generate_scenario(11, cfg, edge)
     pai = PaiParams()
     f80 = 1.0 / (1.0 + math.exp(-pai.a_f * (80 - pai.b_f)))
-    expected = cfg.alpha_floor_delta / (pai.a_f * f80 * (1 - f80))
+    expected = ALPHA_FLOOR_DELTA / (pai.a_f * f80 * (1 - f80))
     for user in scenario.users:
         assert user.alpha_clamped
         assert user.alpha == pytest.approx(expected, rel=1e-12)

@@ -10,6 +10,7 @@ import pytest
 from diffload.dqn.network import Adam, QNetwork
 from diffload.dqn.replay import ReplayBuffer
 from diffload.dqn.training import (
+    LEARNING_RATE,
     ScenarioSource,
     TrainHyper,
     greedy_action,
@@ -96,7 +97,7 @@ def test_terminal_targets_do_not_bootstrap():
     rewards = np.array([1.5, -2.0])
     feats = np.zeros((2, net.feature_dim))
     dones = np.array([True, True])
-    y = td_targets(rewards, feats, dones, net, gamma=1.0)
+    y = td_targets(rewards, feats, dones, net)
     assert np.array_equal(y, rewards)
 
 
@@ -107,7 +108,7 @@ def test_zero_target_net_targets_equal_rewards():
     rewards = np.array([0.3, 0.7, -0.2])
     feats = np.zeros((3, net.feature_dim))
     dones = np.array([False, False, True])
-    y = td_targets(rewards, feats, dones, net, gamma=1.0)
+    y = td_targets(rewards, feats, dones, net)
     assert np.allclose(y, rewards)
 
 
@@ -118,7 +119,7 @@ def test_live_targets_add_max_next_q():
     for u in range(2):
         feats[:, u * 4 + 3] = 1
     rewards = np.array([0.0])
-    y = td_targets(rewards, feats, np.array([False]), net, gamma=1.0)
+    y = td_targets(rewards, feats, np.array([False]), net)
     assert y[0] == pytest.approx(net.forward(feats)[0].max(), rel=1e-12)
 
 
@@ -126,10 +127,7 @@ def test_live_targets_add_max_next_q():
 
 def _filled_buffer(net, hyper, n_regular=60, n_terminal=8, seed=0):
     rng = np.random.default_rng(seed)
-    buf = ReplayBuffer(hyper.capacity, terminal_fraction=hyper.terminal_quota / hyper.batch_size,
-                       priority_exponent=hyper.priority_exponent,
-                       is_exponent=hyper.is_exponent,
-                       priority_offset=hyper.priority_offset)
+    buf = ReplayBuffer(hyper.capacity, terminal_fraction=hyper.terminal_quota / hyper.batch_size)
     dim = net.feature_dim
     def feat():
         f = rng.normal(size=dim)
@@ -146,7 +144,7 @@ def test_train_step_skips_on_light_buffer():
     hyper = tiny_hyper()
     net = QNetwork(i_max=3, hidden=(8, 8, 8))
     target = net.clone()
-    adam = Adam(net.params, lr=hyper.lr)
+    adam = Adam(net.params, lr=LEARNING_RATE)
     buf = ReplayBuffer(hyper.capacity)
     assert train_step(net, target, adam, buf, hyper, np.random.default_rng(0)) is None
 
@@ -155,7 +153,7 @@ def test_train_step_returns_nonnegative_loss_and_updates():
     hyper = tiny_hyper()
     net = QNetwork(i_max=3, hidden=(8, 8, 8), rng=np.random.default_rng(1))
     target = net.clone()
-    adam = Adam(net.params, lr=hyper.lr)
+    adam = Adam(net.params, lr=LEARNING_RATE)
     buf, rng = _filled_buffer(net, hyper)
     before = net.params["W0"].copy()
     loss = train_step(net, target, adam, buf, hyper, rng)
@@ -239,18 +237,25 @@ def test_scenario_source_scopes():
     assert (s1.user_count, s1.edge.gpus) != (s2.user_count, s2.edge.gpus) or s1 != s2
     assert general.i_max == 8
 
-    gpu = make_source(scope="gpu", users=8, seed=2, user_range=(3, 8), seed_pool=50)
+    gpu = make_source(scope="gpu", users=8, seed=2, user_range=(3, 8))
     for ep in range(5):
         assert gpu.scenario_for_episode(ep).edge.gpus == gpu.edge.gpus
 
     specific = make_source(scope="specific", users=6, seed=2)
     assert specific.scenario_for_episode(0) == specific.scenario_for_episode(41)
-    assert specific.seed_pool == 1
 
 
 def test_scenario_source_pool_cycles():
-    source = make_source(scope="gpu", users=7, seed=4, user_range=(3, 7), seed_pool=5)
-    assert source.scenario_for_episode(2) == source.scenario_for_episode(7)
+    """Each scope cycles the pool `diffload train` uses: gpu 1000, general 2000, specific 1."""
+    gpu = make_source(scope="gpu", users=7, seed=4, user_range=(3, 7))
+    assert gpu.scenario_for_episode(3) == gpu.scenario_for_episode(1003)
+    assert gpu.scenario_for_episode(3) != gpu.scenario_for_episode(4)
+    general = make_source(scope="general", users=7, seed=4, user_range=(3, 7))
+    assert general.scenario_for_episode(3) == general.scenario_for_episode(2003)
+    assert general.scenario_for_episode(3) != general.scenario_for_episode(1003)
+    specific = make_source(scope="specific", users=7, seed=4)
+    first = specific.scenario_for_episode(0)
+    assert all(specific.scenario_for_episode(ep) == first for ep in (1, 2, 999, 1003, 2003))
 
 
 def test_policy_roundtrip_replays_identically(tmp_path):
