@@ -16,6 +16,7 @@ each, so the response waiting time of a user requesting at slot k is
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field
@@ -28,9 +29,14 @@ class ValidationError(ValueError):
     """Raised when a config or scenario field violates its invariant."""
 
 
-def _require(cond: bool, field_name: str, message: str) -> None:
+def _require(cond: bool, field_name: str, message: str, *args) -> None:
+    """Raise ``ValidationError("<field_name>: <message>")`` unless `cond` holds.
+
+    `message` is a ``str.format`` template filled with `args` only on failure,
+    so a passing check formats nothing.
+    """
     if not cond:
-        raise ValidationError(f"{field_name}: {message}")
+        raise ValidationError(f"{field_name}: {message.format(*args)}")
 
 
 @dataclass(frozen=True)
@@ -43,9 +49,9 @@ class DeviceProfile:
 
     def __post_init__(self):
         _require(0 <= self.step_slope < math.inf, "step_slope",
-                 f"must be finite and >= 0, got {self.step_slope}")
+                 "must be finite and >= 0, got {}", self.step_slope)
         _require(0 < self.step_intercept < math.inf, "step_intercept",
-                 f"must be finite and > 0, got {self.step_intercept}")
+                 "must be finite and > 0, got {}", self.step_intercept)
 
 
 @dataclass(frozen=True)
@@ -59,13 +65,13 @@ class UserRequest:
     alpha_clamped: bool = False  # set by the generator when the alpha band was degenerate
 
     def __post_init__(self):
-        _require(0 < self.alpha < math.inf, "alpha", f"must be finite and > 0, got {self.alpha}")
+        _require(0 < self.alpha < math.inf, "alpha", "must be finite and > 0, got {}", self.alpha)
         _require(0 < self.prompt_bits < math.inf, "prompt_bits",
-                 f"must be finite and > 0, got {self.prompt_bits}")
+                 "must be finite and > 0, got {}", self.prompt_bits)
         _require(0 < self.intermediate_bits < math.inf, "intermediate_bits",
-                 f"must be finite and > 0, got {self.intermediate_bits}")
+                 "must be finite and > 0, got {}", self.intermediate_bits)
         _require(self.request_slot >= 1, "request_slot",
-                 f"must be >= 1, got {self.request_slot}")
+                 "must be >= 1, got {}", self.request_slot)
 
 
 @dataclass(frozen=True)
@@ -79,16 +85,16 @@ class EdgeConfig:
     spectral_efficiency: float  # bits/s/Hz
 
     def __post_init__(self):
-        _require(self.gpus >= 1, "gpus", f"must be >= 1, got {self.gpus}")
-        _require(self.b_max >= 0, "b_max", f"must be >= 0, got {self.b_max}")
+        _require(self.gpus >= 1, "gpus", "must be >= 1, got {}", self.gpus)
+        _require(self.b_max >= 0, "b_max", "must be >= 0, got {}", self.b_max)
         _require(self.slots_per_interval >= 1, "slots_per_interval",
-                 f"must be >= 1, got {self.slots_per_interval}")
+                 "must be >= 1, got {}", self.slots_per_interval)
         _require(0 < self.slot_duration < math.inf, "slot_duration",
-                 f"must be finite and > 0, got {self.slot_duration}")
+                 "must be finite and > 0, got {}", self.slot_duration)
         _require(0 < self.bandwidth_hz < math.inf, "bandwidth_hz",
-                 f"must be finite and > 0, got {self.bandwidth_hz}")
+                 "must be finite and > 0, got {}", self.bandwidth_hz)
         _require(0 < self.spectral_efficiency < math.inf, "spectral_efficiency",
-                 f"must be finite and > 0, got {self.spectral_efficiency}")
+                 "must be finite and > 0, got {}", self.spectral_efficiency)
 
 
 @dataclass(frozen=True)
@@ -113,16 +119,16 @@ class PaiParams:
     def __post_init__(self):
         for name in ("b_f", "kappa_pai", "sigma_a", "sigma_b"):
             _require(math.isfinite(getattr(self, name)), name,
-                     f"must be finite, got {getattr(self, name)}")
+                     "must be finite, got {}", getattr(self, name))
         _require(0 < self.n_min < self.n_total, "n_min",
-                 f"need 0 < n_min < n_total, got {self.n_min}, {self.n_total}")
-        _require(0 < self.a_f < math.inf, "a_f", f"must be finite and > 0, got {self.a_f}")
+                 "need 0 < n_min < n_total, got {}, {}", self.n_min, self.n_total)
+        _require(0 < self.a_f < math.inf, "a_f", "must be finite and > 0, got {}", self.a_f)
         # The curve is increasing, so F > 0.5 on the whole domain iff it holds
         # at the left endpoint. The split-point problem is only concave under
         # this condition.
         f_min = fitted_pai(self.n_min, self)
         _require(f_min > 0.5, "b_f",
-                 f"fitted curve must exceed 0.5 on [n_min, n_total]; F({self.n_min}) = {f_min}")
+                 "fitted curve must exceed 0.5 on [n_min, n_total]; F({}) = {}", self.n_min, f_min)
 
 
 def step_latency_local(device: DeviceProfile) -> float:
@@ -150,11 +156,11 @@ class Scenario:
     def __post_init__(self):
         ids = [u.id for u in self.users]
         _require(ids == list(range(len(self.users))), "users",
-                 f"user ids must be contiguous from 0, got {ids}")
+                 "user ids must be contiguous from 0, got {}", ids)
         k = self.edge.slots_per_interval
         for u in self.users:
             _require(u.request_slot <= k, "request_slot",
-                     f"user {u.id}: request_slot {u.request_slot} > K = {k}")
+                     "user {}: request_slot {} > K = {}", u.id, u.request_slot, k)
 
     @property
     def user_count(self) -> int:
@@ -211,13 +217,21 @@ class GeneratorConfig:
     alpha_ref_gpus: int | None = None
 
     def __post_init__(self):
-        _require(self.user_count >= 1, "user_count", f"must be >= 1, got {self.user_count}")
+        _require(self.user_count >= 1, "user_count", "must be >= 1, got {}", self.user_count)
         _require(len(self.device_catalog) > 0, "device_catalog", "must be non-empty")
         _require(0 < self.alpha_kappa <= 1, "alpha_kappa",
-                 f"must be in (0, 1], got {self.alpha_kappa}")
-        _require(self.alpha_bhat >= 1, "alpha_bhat", f"must be >= 1, got {self.alpha_bhat}")
+                 "must be in (0, 1], got {}", self.alpha_kappa)
+        _require(self.alpha_bhat >= 1, "alpha_bhat", "must be >= 1, got {}", self.alpha_bhat)
+        # The generator draws devices from the normalised cumulative weights,
+        # which only hold a probability law when every weight and the total
+        # are finite.
         for dev, w in self.device_catalog:
-            _require(w > 0, "device_catalog", f"weight for {dev.name} must be > 0, got {w}")
+            _require(w > 0, "device_catalog", "weight for {} must be > 0, got {}", dev.name, w)
+            _require(w < math.inf, "device_catalog",
+                     "weight for {} must be finite, got {}", dev.name, w)
+        total = sum(w for _, w in self.device_catalog)
+        _require(total < math.inf, "device_catalog",
+                 "weights must have a finite sum, got {}", total)
 
 
 def default_edge(gpus: int = 8, b_max: int = 16) -> EdgeConfig:
@@ -248,24 +262,42 @@ def alpha_band(device: DeviceProfile, cfg: GeneratorConfig, edge: EdgeConfig,
     lo = delta / lo_den
     hi = cfg.alpha_kappa * delta / hi_den
     _require(hi >= lo, "alpha_kappa",
-             f"alpha band is empty for device {device.name}: [{lo}, {hi}]")
+             "alpha band is empty for device {}: [{}, {}]", device.name, lo, hi)
     return lo, hi, False
 
 
 def generate_scenario(seed: int, cfg: GeneratorConfig, edge: EdgeConfig,
                       pai: PaiParams | None = None) -> Scenario:
-    """Draw a scenario deterministically from (seed, cfg, edge, pai)."""
+    """Draw a scenario deterministically from (seed, cfg, edge, pai).
+
+    Each user takes three draws from one stream, in the order and with the
+    arithmetic of ``rng.choice(len(catalog), p=weights)``, ``rng.integers(1,
+    K + 1)`` and ``rng.uniform(lo, hi)``: numpy's choice looks one uniform up
+    in the normalised cumulative weights, and its uniform is
+    ``lo + (hi - lo) * u``. Neither the table nor a device's alpha band
+    depends on the user, so each is built once per call.
+    """
     pai = pai if pai is not None else PaiParams()
     rng = np.random.default_rng(seed)
     weights = np.array([w for _, w in cfg.device_catalog], dtype=float)
     weights = weights / weights.sum()
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    cdf = cdf.tolist()
+    devices = [device for device, _ in cfg.device_catalog]
+    # A device's band is computed when a user first draws it, so an empty
+    # band fails the call only if some user draws that device.
+    bands: list[tuple[float, float, bool] | None] = [None] * len(devices)
     users = []
     for i in range(cfg.user_count):
-        dev_idx = int(rng.choice(len(cfg.device_catalog), p=weights))
-        device = cfg.device_catalog[dev_idx][0]
+        dev_idx = bisect.bisect_right(cdf, rng.random())
+        device = devices[dev_idx]
         slot = int(rng.integers(1, edge.slots_per_interval + 1))
-        lo, hi, clamped = alpha_band(device, cfg, edge, pai)
-        alpha = lo if clamped else float(rng.uniform(lo, hi))
+        band = bands[dev_idx]
+        if band is None:
+            band = bands[dev_idx] = alpha_band(device, cfg, edge, pai)
+        lo, hi, clamped = band
+        alpha = lo if clamped else lo + (hi - lo) * rng.random()
         users.append(UserRequest(
             id=i,
             device=device,

@@ -57,10 +57,14 @@ class ExperimentConfig:
             raise ValidationError(f"axis: must be user_count or gpus, got {self.axis!r}")
         if not self.values:
             raise ValidationError("values: axis grid must be non-empty")
+        if len(set(self.values)) < len(self.values):
+            raise ValidationError(f"values: must be distinct, got {self.values}")
         if self.cases < 1:
             raise ValidationError(f"cases: must be >= 1, got {self.cases}")
         if not self.solvers:
             raise ValidationError("solvers: must name at least one solver")
+        if len(set(self.solvers)) < len(self.solvers):
+            raise ValidationError(f"solvers: must be distinct, got {self.solvers}")
         for s in self.solvers:
             if s != "dqn" and s not in baselines.SOLVERS:
                 raise ValidationError(f"solvers: unknown solver {s!r}")
@@ -184,7 +188,8 @@ def read_report(path: str | Path) -> list[ReportRow]:
     """Read a report written by `write_report`.
 
     A report without the report columns, with a field that does not parse
-    or a value that is not finite, or with no rows raises `ValidationError`.
+    or a value that is not finite, with no rows, or whose rows name more
+    than one axis raises `ValidationError`.
     """
     rows = []
     try:
@@ -213,4 +218,7 @@ def read_report(path: str | Path) -> list[ReportRow]:
         raise ValidationError(f"{path}: malformed report ({exc})") from exc
     if not rows:
         raise ValidationError(f"{path}: report holds no rows")
+    axes = sorted({row.axis for row in rows})
+    if len(axes) > 1:
+        raise ValidationError(f"{path}: report rows name more than one axis: {axes}")
     return rows

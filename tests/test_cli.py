@@ -333,6 +333,8 @@ def test_train_specific_ignores_the_user_range_of_other_scopes(tmp_path, capsys)
       "--train-every", 0], "train_every"),
     (["train", "--scope", "specific", "--seed", 1, "--episodes", 0, "--users", 3], "episodes"),
     (["train", "--scope", "general", "--seed", 1, "--episodes", 1, "--gpus", 0], "gpus"),
+    (["sweep", "--values", "4,4", "--cases", 2, "--seed", 1, "--solvers", "b1"], "values"),
+    (["sweep", "--values", 4, "--cases", 2, "--seed", 1, "--solvers", "b1,b1"], "solvers"),
 ])
 def test_negative_seed_or_malformed_values_is_clean_error(tmp_path, scenario_file, capsys,
                                                           argv, flag):
@@ -463,8 +465,10 @@ REPORT_ROW = "b1,user_count,4,123,1.5,0.5,0.1,0.0,2"
     (",".join(REPORT_HEADER) + "\n" + REPORT_ROW.replace(",1.5,", ",nan,") + "\n",
      "must be finite"),
     ("\udcff", "malformed report"),
+    (",".join(REPORT_HEADER) + "\n" + REPORT_ROW + "\n"
+     + REPORT_ROW.replace("user_count", "gpus") + "\n", "more than one axis"),
 ], ids=["missing-columns", "fractional-axis-value", "empty", "header-only", "nan-objective",
-        "not-utf8"])
+        "not-utf8", "mixed-axes"])
 def test_plot_of_a_malformed_report_is_clean_error(tmp_path, capsys, text, reason):
     report, out = tmp_path / "report.csv", tmp_path / "out"
     report.write_text(text, errors="surrogateescape")

@@ -1,10 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from diffload.scenario import (
     ALPHA_FLOOR_DELTA,
+    DEFAULT_INTERMEDIATE_BITS,
+    DEFAULT_PROMPT_BITS,
     DeviceProfile,
     EdgeConfig,
     GeneratorConfig,
@@ -20,6 +23,108 @@ from diffload.scenario import (
     scenario_from_dict,
     scenario_to_dict,
 )
+
+
+def reference_generate(seed, cfg, edge, pai=None):
+    """The per-user reference loop: `rng.choice` with `p`, one `alpha_band`
+    per user and `rng.uniform`. `generate_scenario` must draw the same
+    stream and build the same scenario."""
+    pai = pai if pai is not None else PaiParams()
+    rng = np.random.default_rng(seed)
+    weights = np.array([w for _, w in cfg.device_catalog], dtype=float)
+    weights = weights / weights.sum()
+    users = []
+    for i in range(cfg.user_count):
+        dev_idx = int(rng.choice(len(cfg.device_catalog), p=weights))
+        device = cfg.device_catalog[dev_idx][0]
+        slot = int(rng.integers(1, edge.slots_per_interval + 1))
+        lo, hi, clamped = alpha_band(device, cfg, edge, pai)
+        alpha = lo if clamped else float(rng.uniform(lo, hi))
+        users.append(UserRequest(
+            id=i, device=device, alpha=alpha, request_slot=slot,
+            prompt_bits=DEFAULT_PROMPT_BITS, intermediate_bits=DEFAULT_INTERMEDIATE_BITS,
+            alpha_clamped=clamped))
+    return Scenario(users=users, edge=edge, pai=pai, seed=seed)
+
+
+def _random_case(rng):
+    """A weighted catalog of 1-7 devices (some no slower than the edge, which
+    takes the clamped path), 1-79 users, K in [1, 299], 1-16 GPUs, an optional
+    alpha_ref_gpus and an alpha_kappa low enough to empty some bands."""
+    catalog = tuple(
+        (DeviceProfile(f"d{j}", float(rng.uniform(0, 0.1)), float(rng.uniform(0.001, 1.0))),
+         float(rng.uniform(0.01, 5)))
+        for j in range(int(rng.integers(1, 8))))
+    cfg = GeneratorConfig(
+        user_count=int(rng.integers(1, 80)), device_catalog=catalog,
+        alpha_bhat=int(rng.integers(1, 41)), alpha_kappa=float(rng.uniform(0.01, 1.0)),
+        alpha_ref_gpus=None if rng.random() < 0.5 else int(rng.integers(1, 17)))
+    edge = replace(default_edge(gpus=int(rng.integers(1, 17))),
+                   slots_per_interval=int(rng.integers(1, 300)))
+    return int(rng.integers(0, 2**32)), cfg, edge
+
+
+def _outcome(generate, seed, cfg, edge):
+    try:
+        return scenario_to_dict(generate(seed, cfg, edge))
+    except ValidationError as exc:
+        return f"error: {exc}"
+
+
+def test_generate_draws_the_reference_stream():
+    rng = np.random.default_rng(20240)
+    clamped = failed = 0
+    for _ in range(1000):
+        seed, cfg, edge = _random_case(rng)
+        expected = _outcome(reference_generate, seed, cfg, edge)
+        assert _outcome(generate_scenario, seed, cfg, edge) == expected
+        if isinstance(expected, str):
+            failed += 1
+        else:
+            clamped += any(u["alpha_clamped"] for u in expected["users"])
+    assert clamped > 0 and failed > 0
+
+
+@pytest.mark.parametrize("weights, message", [
+    ((math.inf, 1.0), "weight for a must be finite, got inf"),
+    ((1e308, 1e308), "weights must have a finite sum, got inf"),
+], ids=["infinite", "overflowing-sum"])
+def test_catalog_weights_must_form_a_finite_law(weights, message):
+    # numpy's choice rejected these when it drew; the cumulative table would not.
+    catalog = tuple(zip((DeviceProfile("a", 0.1, 1.0), DeviceProfile("b", 0.1, 0.5)), weights))
+    with pytest.raises(ValidationError) as info:
+        GeneratorConfig(user_count=3, device_catalog=catalog)
+    assert str(info.value) == f"device_catalog: {message}"
+
+
+_DEV = DeviceProfile("d", 0.1, 0.1)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: DeviceProfile("x", -1.0, 0.1), "step_slope: must be finite and >= 0, got -1.0"),
+    (lambda: UserRequest(0, _DEV, 1.0, 1, math.nan, 1),
+     "prompt_bits: must be finite and > 0, got nan"),
+    (lambda: EdgeConfig(1, _DEV, 4, 100, 0.01, math.inf, 10.0),
+     "bandwidth_hz: must be finite and > 0, got inf"),
+    (lambda: PaiParams(n_min=300), "n_min: need 0 < n_min < n_total, got 300, 200"),
+    (lambda: Scenario([UserRequest(1, _DEV, 1.0, 1, 1, 1), UserRequest(0, _DEV, 1.0, 1, 1, 1)],
+                      default_edge(), PaiParams(), 0),
+     "users: user ids must be contiguous from 0, got [1, 0]"),
+    (lambda: Scenario([UserRequest(0, _DEV, 1.0, 101, 1, 1)], default_edge(), PaiParams(), 0),
+     "request_slot: user 0: request_slot 101 > K = 100"),
+    (lambda: GeneratorConfig(user_count=1, device_catalog=((_DEV, -0.5),)),
+     "device_catalog: weight for d must be > 0, got -0.5"),
+    (lambda: alpha_band(DeviceProfile("slow", 0.1, 1.0),
+                        GeneratorConfig(user_count=1, alpha_kappa=0.001), default_edge(),
+                        PaiParams()),
+     "alpha_kappa: alpha band is empty for device slow: "
+     "[107.90296190190506, 5.341415514455329]"),
+], ids=["DeviceProfile", "UserRequest", "EdgeConfig", "PaiParams", "Scenario-ids",
+        "Scenario-slot", "GeneratorConfig", "alpha_band"])
+def test_validation_message_text(build, message):
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_generate_deterministic():
