@@ -61,11 +61,15 @@ class QNetwork:
 
     @classmethod
     def from_params(cls, i_max: int, hidden: tuple[int, ...],
-                    params: dict[str, np.ndarray]) -> "QNetwork":
-        """A network holding copies of `params`, in their dtype; draws no random initialisation."""
+                    params: dict[str, np.ndarray], copy: bool = True) -> "QNetwork":
+        """A network over `params`, in their dtype; draws no random initialisation.
+
+        With `copy` false the network reads the given arrays in place, so it
+        sees every later write to them and must not be trained.
+        """
         net = cls.__new__(cls)
         net._set_layout(i_max, hidden)
-        net.params = {k: np.array(v) for k, v in params.items()}
+        net.params = {k: np.array(v) for k, v in params.items()} if copy else dict(params)
         return net
 
     @staticmethod
@@ -124,17 +128,29 @@ class QNetwork:
         x0[:, self.i_max * (3 + EMBED_DIM):] = features[:, self.i_max * FEATURES_PER_USER:]
         return x0, tokens
 
+    def dense(self, x0: np.ndarray, pre: list[np.ndarray] | None = None,
+              post: list[np.ndarray] | None = None) -> np.ndarray:
+        """Q-values of an assembled (rows, input_dim) input in the network's dtype.
+
+        Given `pre` and `post`, layer l writes its pre-activations into
+        `pre[l]` and, for a hidden layer, its ReLU output into `post[l]`;
+        otherwise every layer makes fresh arrays. Either way the returned
+        array is the last layer's output.
+        """
+        x = x0
+        for layer in range(self.n_layers):
+            z = np.matmul(x, self.params[f"W{layer}"], out=None if pre is None else pre[layer])
+            z += self.params[f"b{layer}"]
+            if layer < self.n_layers - 1:
+                x = np.maximum(z, 0.0, out=z if post is None else post[layer])
+        return z
+
     def forward(self, features: np.ndarray) -> np.ndarray:
         """Q-values; accepts a single feature vector or a batch."""
         single = features.ndim == 1
         feats = features[None, :] if single else features
-        x, _ = self._assemble(feats)
-        for layer in range(self.n_layers):
-            x = x @ self.params[f"W{layer}"]
-            x += self.params[f"b{layer}"]
-            if layer < self.n_layers - 1:
-                np.maximum(x, 0.0, out=x)
-        return x[0] if single else x
+        q = self.dense(self._assemble(feats)[0])
+        return q[0] if single else q
 
     def _workspace(self, rows: int) -> dict:
         """Arrays for a `rows`-row training pass, kept between calls.
@@ -164,14 +180,9 @@ class QNetwork:
         """
         ws = self._workspace(features.shape[0])
         x0, tokens = self._assemble(features, ws["x0"])
-        pre, post = ws["pre"], [x0, *ws["post"], ws["pre"][-1]]
-        for layer in range(self.n_layers):
-            z = np.matmul(post[layer], self.params[f"W{layer}"], out=pre[layer])
-            z += self.params[f"b{layer}"]
-            if layer < self.n_layers - 1:
-                np.maximum(z, 0.0, out=post[layer + 1])
-        cache = {"pre": pre, "post": post, "tokens": tokens}
-        return post[-1], cache
+        q = self.dense(x0, ws["pre"], ws["post"])
+        cache = {"pre": ws["pre"], "post": [x0, *ws["post"], q], "tokens": tokens}
+        return q, cache
 
     def backward(self, cache, dq: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients of a scalar loss given d(loss)/d(q) for a cached forward.

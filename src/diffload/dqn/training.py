@@ -30,6 +30,13 @@ files therefore compute in float64. Adam flushes subnormal moments to zero
 every hundred steps (see `network.Adam`); without the flush a growing share
 of the moments of weights whose gradient stays 0 ends up subnormal, and
 each step slows as the run goes on.
+
+A greedy decision (`greedy_rollout`) makes one batch-1 forward pass per
+user, so its work outside the dense products is kept small: it reads the
+policy's float64 weights in place and keeps one network input up to date
+between steps instead of encoding and embedding each state anew. Its
+Q-values are bit for bit those of `run_episode` driven by
+`QNetwork.forward`.
 """
 
 from __future__ import annotations
@@ -40,10 +47,20 @@ from pathlib import Path
 
 import numpy as np
 
-from ..env import Transition, assign_rewards, decision_from_state, run_episode
+from ..env import (
+    DENIED,
+    EnvState,
+    Transition,
+    assign_rewards,
+    decision_from_state,
+    reset,
+    run_episode,
+    step,
+    user_statics,
+)
 from ..qoe import ContractError, Decision, all_local_decision
 from ..scenario import EdgeConfig, GeneratorConfig, PaiParams, Scenario, ValidationError, alpha_band, generate_scenario
-from .network import Adam, QNetwork
+from .network import EMBED_DIM, N_ACTIONS, Adam, QNetwork
 from .replay import ReplayBuffer
 
 SCOPES = ("general", "gpu", "specific")
@@ -242,9 +259,6 @@ class TrainedPolicy:
     seed: int
     episodes: int
 
-    def make_network(self) -> QNetwork:
-        return QNetwork.from_params(self.i_max, self.hidden, self.params)
-
 
 @dataclass
 class TrainResult:
@@ -318,6 +332,61 @@ def train(source: ScenarioSource, hyper: TrainHyper, seed: int,
     return TrainResult(policy=policy, episode_returns=returns, losses=losses)
 
 
+def greedy_rollout(policy: TrainedPolicy, scenario: Scenario) -> tuple[EnvState, np.ndarray]:
+    """One greedy episode under the policy: the terminal state and each step's Q-values.
+
+    The scenario must hold 1 to `policy.i_max` users and a grant capacity of
+    at least 1. States advance through `env.reset` and `env.step`; the
+    network's input is kept up to date between steps rather than encoded and
+    embedded anew, and the policy's weights are read in place, in the dtype
+    of its `W0`:
+
+    - `table` holds each user's `user_statics` row and status embedding in
+      processing order, twice over, so the rotation that puts the
+      in-progress user first is the slice `table[cursor:cursor + I]`.
+    - `x` is the (1, input_dim) input. Its filler slots and its three
+      constant globals are written once; each step copies in the slice and
+      the three counters.
+    - A step that does not end the episode changes two statuses: the user
+      just decided and the next one in progress. Only their rows are
+      embedded again, in both halves of the table.
+
+    `x` is then bit for bit the input `QNetwork.forward` assembles from
+    `env.encode`, so the Q-values and actions are those of `run_episode`
+    driven by that forward pass.
+    """
+    net = QNetwork.from_params(policy.i_max, policy.hidden, policy.params, copy=False)
+    embed = net.params["embed"]
+    width = 3 + EMBED_DIM
+    state = reset(scenario)
+    users, i_max = state.user_count, policy.i_max
+    table = np.empty((2 * users, width), net.dtype)
+    table[:users, :3] = user_statics(state, policy.alpha_scale)
+    table[:users, 3:] = embed[list(state.statuses)]
+    table[users:] = table[:users]
+    x = np.empty((1, net.input_dim), net.dtype)
+    blocks = x[0, :i_max * width].reshape(i_max, width)
+    blocks[users:, :3] = 0.0
+    blocks[users:, 3:] = embed[DENIED]
+    globals_ = x[0, i_max * width:]
+    globals_[:3] = state.b_max / i_max, state.k_hat_e, state.h_e
+    q_values = np.empty((users, N_ACTIONS), net.dtype)
+    steps = 0
+    while not state.done:
+        cursor = state.cursor
+        blocks[:users] = table[cursor:cursor + users]
+        globals_[3] = state.pending / i_max
+        globals_[4] = state.granted / i_max
+        globals_[5] = state.denied / i_max
+        q = q_values[steps] = net.dense(x)[0]
+        steps += 1
+        state, done = step(state, greedy_action(q))
+        if not done:
+            for user in (cursor, state.cursor):
+                table[user, 3:] = table[user + users, 3:] = embed[state.statuses[user]]
+    return state, q_values[:steps]
+
+
 def greedy_solve(policy: TrainedPolicy, scenario: Scenario) -> Decision:
     """Run the environment greedily under the policy; linear in the user count."""
     if scenario.user_count > policy.i_max:
@@ -325,10 +394,8 @@ def greedy_solve(policy: TrainedPolicy, scenario: Scenario) -> Decision:
             f"scenario has {scenario.user_count} users; policy capacity is {policy.i_max}")
     if scenario.user_count == 0 or scenario.edge.b_max < 1:
         return all_local_decision(scenario)
-    net = policy.make_network()
-    record = run_episode(scenario, lambda f: greedy_action(net.forward(f)),
-                         policy.i_max, policy.alpha_scale)
-    return decision_from_state(record.final_state, scenario)
+    final_state, _ = greedy_rollout(policy, scenario)
+    return decision_from_state(final_state, scenario)
 
 
 def save_policy(policy: TrainedPolicy, path: str | Path) -> None:

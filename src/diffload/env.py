@@ -142,28 +142,37 @@ def step(state: EnvState, action: int) -> tuple[EnvState, bool]:
     return next_state, next_state.done
 
 
+def user_statics(state: EnvState, alpha_scale: float = 1.0) -> np.ndarray:
+    """The (I, 3) per-user statics in processing order, as the network reads them.
+
+    Columns: alpha / alpha_scale, per-step local latency, and request slot /
+    slots per interval, each normalized to keep inputs order-one.
+    """
+    columns = np.array((state.alphas, state.step_latencies, state.request_slots), dtype=float)
+    columns[0] /= alpha_scale
+    columns[2] /= state.slots_per_interval
+    return columns.T
+
+
 def encode(state: EnvState, i_max: int, alpha_scale: float = 1.0) -> np.ndarray:
     """Feature vector: cyclically shifted local sub-states plus globals.
 
-    Local sub-states are rotated so the in-progress user sits first, then
-    padded to ``i_max`` users with denied-status filler. Status codes stay
-    integer-valued tokens for the embedding lookup; the continuous statics
-    are normalized to keep inputs order-one.
+    Local sub-states (the `user_statics` row plus the status token) are
+    rotated so the in-progress user sits first, then padded to ``i_max``
+    users with denied-status filler. Status codes stay integer-valued
+    tokens for the embedding lookup.
     """
     n = state.user_count
     if n > i_max:
         raise ContractError(f"state has {n} users, encoder capacity is {i_max}")
     out = np.zeros(i_max * FEATURES_PER_USER + N_GLOBALS)
-    start = state.cursor if state.cursor >= 0 else 0
-    for pos in range(n):
-        i = (start + pos) % n
-        base = pos * FEATURES_PER_USER
-        out[base] = state.alphas[i] / alpha_scale
-        out[base + 1] = state.step_latencies[i]
-        out[base + 2] = state.request_slots[i] / state.slots_per_interval
-        out[base + 3] = state.statuses[i]
-    for pos in range(n, i_max):
-        out[pos * FEATURES_PER_USER + 3] = DENIED  # filler slots read as already-denied
+    rows = out[:i_max * FEATURES_PER_USER].reshape(i_max, FEATURES_PER_USER)
+    local = np.empty((n, FEATURES_PER_USER))
+    local[:, :3] = user_statics(state, alpha_scale)
+    local[:, 3] = state.statuses
+    start = max(state.cursor, 0)
+    np.concatenate((local[start:], local[:start]), out=rows[:n])
+    rows[n:, 3] = DENIED  # filler slots read as already-denied
     g = i_max * FEATURES_PER_USER
     out[g] = state.b_max / i_max
     out[g + 1] = state.k_hat_e

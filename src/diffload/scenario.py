@@ -129,6 +129,13 @@ class PaiParams:
         f_min = fitted_pai(self.n_min, self)
         _require(f_min > 0.5, "b_f",
                  "fitted curve must exceed 0.5 on [n_min, n_total]; F({}) = {}", self.n_min, f_min)
+        # The alpha band divides by the slope at both ends (see `alpha_band`);
+        # a steep curve rounds F(n_total) to 1 and the slope there to 0.
+        for split in (self.n_min, self.n_total):
+            slope = fitted_pai_slope(split, self)
+            _require(0 < slope < math.inf, "a_f",
+                     "fitted curve slope a_f*F*(1-F) at n = {} must be finite and > 0, got {}",
+                     split, slope)
 
 
 def step_latency_local(device: DeviceProfile) -> float:
@@ -144,6 +151,12 @@ def step_latency_edge(device: DeviceProfile, batch: int, gpus: int) -> float:
 def fitted_pai(split: float, pai: PaiParams) -> float:
     """Fitted accuracy curve F(n) = 1 / (1 + exp(-a_f * (n - b_f)))."""
     return 1.0 / (1.0 + math.exp(-pai.a_f * (split - pai.b_f)))
+
+
+def fitted_pai_slope(split: float, pai: PaiParams) -> float:
+    """Slope of the fitted curve, dF/dn = a_f * F(n) * (1 - F(n))."""
+    f = fitted_pai(split, pai)
+    return pai.a_f * f * (1.0 - f)
 
 
 @dataclass(frozen=True)
@@ -251,9 +264,7 @@ def alpha_band(device: DeviceProfile, cfg: GeneratorConfig, edge: EdgeConfig,
     """Alpha sampling interval for one device; third element flags the clamp path."""
     gpus = cfg.alpha_ref_gpus if cfg.alpha_ref_gpus is not None else edge.gpus
     delta = step_latency_local(device) - step_latency_edge(edge.device, cfg.alpha_bhat, gpus)
-    f_lo, f_hi = fitted_pai(pai.n_min, pai), fitted_pai(pai.n_total, pai)
-    lo_den = pai.a_f * f_lo * (1.0 - f_lo)
-    hi_den = pai.a_f * f_hi * (1.0 - f_hi)
+    lo_den, hi_den = fitted_pai_slope(pai.n_min, pai), fitted_pai_slope(pai.n_total, pai)
     if delta <= 0:
         # Local inference is already at least as fast as the edge at the
         # assumed batch; the trade-off band is empty. Fall back to the band's

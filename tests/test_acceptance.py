@@ -331,21 +331,22 @@ def test_criterion_8_dqn_decision_time_linear():
     policy = TrainedPolicy(i_max=200, hidden=net.hidden, params=net.params,
                            alpha_scale=300.0, scope="specific", seed=0, episodes=0)
     sizes = (10, 50, 100, 150, 200)
-    times = []
-    for users in sizes:
-        # b_max = users so every request is actually processed: the cap would
-        # otherwise truncate episodes and mask the per-user cost.
-        scenario = generate_scenario(3, GeneratorConfig(user_count=users),
-                                     default_edge(b_max=users))
+    # b_max = users so every request is actually processed: the cap would
+    # otherwise truncate episodes and mask the per-user cost.
+    scenarios = [generate_scenario(3, GeneratorConfig(user_count=users),
+                                   default_edge(b_max=users)) for users in sizes]
+    for scenario in scenarios:
         greedy_solve(policy, scenario)  # warmup
-        best = math.inf
-        for _ in range(7):
+    times = [math.inf] * len(sizes)
+    # Each round times every size once, so a shift in the machine's speed
+    # that outlasts a round falls on all sizes alike.
+    for _ in range(7):
+        for k, scenario in enumerate(scenarios):
             # The thread's CPU clock: time this thread spends descheduled by
             # other load on the machine does not count.
             start = time.thread_time()
             greedy_solve(policy, scenario)
-            best = min(best, time.thread_time() - start)
-        times.append(best)
+            times[k] = min(times[k], time.thread_time() - start)
     x = np.asarray(sizes, dtype=float)
     y = np.asarray(times)
     slope, intercept = np.polyfit(x, y, 1)

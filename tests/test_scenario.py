@@ -189,6 +189,13 @@ def test_degenerate_alpha_band_clamps_and_flags():
         assert user.alpha == pytest.approx(expected, rel=1e-12)
 
 
+def test_curve_too_steep_for_the_alpha_band_is_rejected():
+    # With a_f = 1, F(n_total) rounds to 1 and the band's upper edge would
+    # divide by a_f * F * (1 - F) = 0.
+    with pytest.raises(ValidationError, match=r"^a_f: .* at n = 200 .* got 0\.0$"):
+        generate_scenario(1, GeneratorConfig(user_count=3), default_edge(), PaiParams(a_f=1.0))
+
+
 def test_roundtrip_save_load(tmp_path):
     scenario = generate_scenario(21, GeneratorConfig(user_count=9), default_edge())
     path = tmp_path / "s.json"

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,10 @@ from diffload.dqn.replay import ReplayBuffer
 from diffload.dqn.training import (
     LEARNING_RATE,
     ScenarioSource,
+    TrainedPolicy,
     TrainHyper,
     greedy_action,
+    greedy_rollout,
     greedy_solve,
     linear_schedule,
     load_policy,
@@ -23,6 +26,7 @@ from diffload.dqn.training import (
     train,
     train_step,
 )
+from diffload.env import decision_from_state, run_episode
 from diffload.qoe import objective, validate_decision
 from diffload.scenario import GeneratorConfig, PaiParams, ValidationError, default_edge, generate_scenario
 
@@ -290,6 +294,46 @@ def test_float32_policy_survives_the_policy_file(tmp_path):
     for seed in range(8):
         scenario = generate_scenario(seed, GeneratorConfig(user_count=6), default_edge())
         assert greedy_solve(loaded, scenario) == greedy_solve(policy, scenario)
+
+
+def reference_rollout(policy, scenario):
+    """The greedy episode as `run_episode` plays it through `QNetwork.forward`."""
+    net = QNetwork.from_params(policy.i_max, policy.hidden, policy.params)
+    q_values = []
+
+    def act(features):
+        q_values.append(net.forward(features))
+        return greedy_action(q_values[-1])
+
+    record = run_episode(scenario, act, policy.i_max, policy.alpha_scale)
+    return record.final_state, np.array(q_values)
+
+
+def test_greedy_rollout_matches_the_encoded_forward_pass(tmp_path):
+    """Every step's Q-values and the decision equal those of the encode-and-forward path."""
+    trained = train(make_source(users=8, seed=29), tiny_hyper(episodes=20), seed=4).policy
+    save_policy(trained, tmp_path / "policy.json")
+    net = QNetwork(i_max=8, hidden=(24, 12), rng=np.random.default_rng(3))
+    policies = {
+        "float32-trained": trained,
+        "random float64": TrainedPolicy(i_max=8, hidden=net.hidden, params=net.params,
+                                        alpha_scale=250.0, scope="specific", seed=0, episodes=0),
+        "loaded": load_policy(tmp_path / "policy.json"),
+    }
+    for name, policy in policies.items():
+        cut_short = padded = 0
+        for users, b_max, seed in product((1, 3, 8), (1, 2, 8, 11), range(3)):
+            scenario = generate_scenario(seed, GeneratorConfig(user_count=users),
+                                         default_edge(b_max=b_max))
+            label = (name, users, b_max, seed)
+            state, q_values = greedy_rollout(policy, scenario)
+            ref_state, ref_q_values = reference_rollout(policy, scenario)
+            assert np.array_equal(q_values, ref_q_values), label
+            assert state == ref_state, label
+            assert greedy_solve(policy, scenario) == decision_from_state(ref_state, scenario), label
+            cut_short += len(q_values) < users
+            padded += users < policy.i_max
+        assert cut_short and padded, name
 
 
 def test_greedy_solve_feasible_on_fuzz():
