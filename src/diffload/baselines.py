@@ -233,30 +233,38 @@ def solve_bnb(scenario: Scenario, stats: BnbStats | None = None) -> Decision:
 # Exact oracles
 # ---------------------------------------------------------------------------
 
-def solve_count_oracle(scenario: Scenario) -> Decision:
-    """Exact optimum by enumerating the grant count.
+def grant_count_totals(table: SplitTable) -> np.ndarray:
+    """(cap + 1,) objective of the best set of exactly m grants, for m = 0..cap.
 
-    For each candidate m, every user's gain from being granted (at optimal
-    split, in a round of m) over being denied is independent of who else is
-    granted, so the best set of exactly m grants is the top-m gains: one
-    stable descending sort per column of the gain grid (ties go to the
-    lower user index) and a cumulative sum give every m's value at once.
+    For each m, every user's gain from being granted (at optimal split, in
+    a round of m) over being denied is independent of who else is granted,
+    so the best set of m grants is the top-m gains. One descending sort of
+    each grant count's gains and a cumulative sum give every m's value at
+    once. The sorted values, and so the totals, do not depend on how ties
+    are ordered.
     """
-    table = SplitTable(scenario)
-    grants = np.zeros(scenario.user_count, dtype=bool)
-    if table.cap == 0:
-        return table.decision(grants)
     # Row m - 1 holds every user's gain in a round of m grants; rows are
     # contiguous, which makes the per-row sort faster than a column sort.
     gains = np.ascontiguousarray((table.values - table.deny[:, None]).T)
-    order = np.argsort(-gains, axis=1, kind="stable")
-    top = np.cumsum(np.take_along_axis(gains, order, axis=1), axis=1)
-    deny_total = sequential_sum(table.deny)
-    # Index 0 is m = 0 (all local); argmax keeps the first of equal values.
-    totals = deny_total + np.concatenate(([0.0], top.diagonal()))
-    best = int(np.argmax(totals))
+    descending = -np.sort(-gains, axis=1)
+    top = np.cumsum(descending[:, :table.cap], axis=1)
+    # Index 0 is m = 0 (all local).
+    return sequential_sum(table.deny) + np.concatenate(([0.0], top.diagonal()))
+
+
+def solve_count_oracle(scenario: Scenario) -> Decision:
+    """Exact optimum by enumerating the grant count (see `grant_count_totals`).
+
+    argmax keeps the first of equal totals, so the fewest grants win a tie.
+    The stable descending order of the gains, in which ties go to the lower
+    user index, is taken for the chosen count only.
+    """
+    table = SplitTable(scenario)
+    best = int(np.argmax(grant_count_totals(table)))
+    grants = np.zeros(scenario.user_count, dtype=bool)
     if best > 0:
-        grants[order[best - 1, :best]] = True
+        gains = table.values[:, best - 1] - table.deny
+        grants[np.argsort(-gains, kind="stable")[:best]] = True
     return table.decision(grants)
 
 

@@ -43,7 +43,8 @@ def stationary_point(alpha, delta, pai: PaiParams):
     1 - F* = c / F*, the logit is log(F*^2 / c), which avoids the
     cancellation in 1 - F* when c is small. Requires 0 < c <= 1/4, which
     holds whenever the rate at n_min exceeds delta > 0; takes scalars or
-    arrays alike.
+    arrays alike. Cells outside that interior (delta <= 0, or c out of
+    range) may give nan or inf, and the caller discards them.
     """
     c = delta / (alpha * pai.a_f)
     f = (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * c, 0.0))) / 2.0
@@ -124,9 +125,10 @@ class CostModel:
             self.edge.spectral_efficiency * self.edge.bandwidth_hz)
 
     def _granted(self, split: np.ndarray, head: np.ndarray, edge_step) -> np.ndarray:
-        edge_c = (self.pai.n_total - split) * edge_step
-        total = head + edge_c + split * self.local_step[:, None]
-        return self.alpha[:, None] * self.accuracy[split] - total
+        total = head + (self.pai.n_total - split) * edge_step
+        total += split * self.local_step[:, None]
+        return np.subtract(self.alpha[:, None] * self.accuracy[split.astype(np.intp)], total,
+                           out=total)
 
     def optimal_splits(self, cap: int) -> tuple[np.ndarray, np.ndarray]:
         """(I, cap) optimal splits and their values; column m - 1 holds m grants."""
@@ -134,7 +136,6 @@ class CostModel:
         m = np.arange(1, cap + 1)
         edge_step = self.edge_step(m)
         delta = self.local_step[:, None] - edge_step
-        alpha = np.broadcast_to(self.alpha[:, None], delta.shape)
 
         def rate(n):
             f = self.accuracy[n]
@@ -146,14 +147,21 @@ class CostModel:
                              & (rate(pai.n_min)[:, None] <= delta))
         interior = ~(local_dominates | pai_saturated | latency_saturated)
 
-        lo = np.where(latency_saturated, pai.n_min, pai.n_total)
-        root = stationary_point(alpha[interior], delta[interior], pai)
-        lo[interior] = np.clip(np.floor(root), pai.n_min, pai.n_total)
-        hi = np.where(interior, np.minimum(lo + 1, pai.n_total), lo)
+        # Splits are held as whole-number floats, so _granted casts no ints. The
+        # root is taken on the whole grid and kept in the interior cells only.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lo = np.floor(stationary_point(self.alpha[:, None], delta, pai))
+            np.clip(lo, pai.n_min, pai.n_total, out=lo)
+        np.copyto(lo, float(pai.n_min), where=latency_saturated)
+        np.copyto(lo, float(pai.n_total), where=local_dominates | pai_saturated)
+        hi = np.minimum(lo + 1.0, pai.n_total)
+        np.copyto(hi, lo, where=~interior)
         head = self.rtt[:, None] + self._transfer(m)  # the split-independent part
-        v_lo, v_hi = self._granted(lo, head, edge_step), self._granted(hi, head, edge_step)
-        take_hi = v_hi > v_lo
-        return np.where(take_hi, hi, lo), np.where(take_hi, v_hi, v_lo)
+        values, v_hi = self._granted(lo, head, edge_step), self._granted(hi, head, edge_step)
+        take_hi = v_hi > values
+        np.copyto(lo, hi, where=take_hi)
+        np.copyto(values, v_hi, where=take_hi)
+        return lo.astype(np.int64), values
 
 
 class SplitTable:
@@ -190,8 +198,7 @@ class SplitTable:
         else:
             self._check_count(m)
             splits = np.where(grants, self.splits[:, m - 1], n_total)
-        return Decision(entries=[DecisionEntry(granted=g, split=n)
-                                 for g, n in zip(grants.tolist(), splits.tolist())])
+        return Decision(entries=list(map(DecisionEntry, grants.tolist(), splits.tolist())))
 
     def value(self, grants) -> float:
         return float(self.row_values([grants])[0])

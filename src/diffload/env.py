@@ -162,13 +162,27 @@ def encode(state: EnvState, i_max: int, alpha_scale: float = 1.0) -> np.ndarray:
     users with denied-status filler. Status codes stay integer-valued
     tokens for the embedding lookup.
     """
+    return _encode_local(state, _local_rows(state, alpha_scale), i_max)
+
+
+def _local_rows(state: EnvState, alpha_scale: float) -> np.ndarray:
+    """(I, FEATURES_PER_USER) local sub-states with the statics filled in.
+
+    The statics never change within an episode, so an episode builds these
+    rows once and `_encode_local` writes each state's status column.
+    """
+    local = np.empty((state.user_count, FEATURES_PER_USER))
+    local[:, :3] = user_statics(state, alpha_scale)
+    return local
+
+
+def _encode_local(state: EnvState, local: np.ndarray, i_max: int) -> np.ndarray:
+    """`encode` from rows made by `_local_rows` for the same episode."""
     n = state.user_count
     if n > i_max:
         raise ContractError(f"state has {n} users, encoder capacity is {i_max}")
     out = np.zeros(i_max * FEATURES_PER_USER + N_GLOBALS)
     rows = out[:i_max * FEATURES_PER_USER].reshape(i_max, FEATURES_PER_USER)
-    local = np.empty((n, FEATURES_PER_USER))
-    local[:, :3] = user_statics(state, alpha_scale)
     local[:, 3] = state.statuses
     start = max(state.cursor, 0)
     np.concatenate((local[start:], local[:start]), out=rows[:n])
@@ -209,12 +223,13 @@ def run_episode(scenario: Scenario, policy, i_max: int,
     """Roll out one episode; `policy(features) -> action` drives the choices."""
     record = EpisodeRecord()
     state = reset(scenario)
-    features = encode(state, i_max, alpha_scale)
+    local = _local_rows(state, alpha_scale)
+    features = _encode_local(state, local, i_max)
     while not state.done:
         action = int(policy(features))
         record.handled_order.append(state.user_ids[state.cursor])
         state, done = step(state, action)
-        next_features = encode(state, i_max, alpha_scale)
+        next_features = _encode_local(state, local, i_max)
         record.transitions.append(Transition(features, action, next_features, done))
         features = next_features
     record.final_state = state

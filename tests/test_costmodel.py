@@ -1,6 +1,7 @@
 """The array cost model against the scalar reference, and the oracle built on it."""
 
 import ast
+import warnings
 from collections import Counter
 from dataclasses import replace
 from itertools import product
@@ -10,7 +11,13 @@ import numpy as np
 import pytest
 
 import diffload
-from diffload.baselines import SOLVERS, SplitTable, solve_count_oracle, solve_exhaustive
+from diffload.baselines import (
+    SOLVERS,
+    SplitTable,
+    grant_count_totals,
+    solve_count_oracle,
+    solve_exhaustive,
+)
 from diffload.costmodel import CostModel, sequential_sum
 from diffload.qoe import (
     ContractError,
@@ -75,26 +82,27 @@ def per_m_sort_oracle(scenario):
 
 
 def test_grid_matches_scalar_split_and_value_in_every_case():
+    """Every (user, m) cell equals the scalar reference bit for bit."""
     rng = np.random.default_rng(2024)
     cases = Counter()
     for _ in range(30):
         scenario = wide_scenario(rng, users=12, b_max=20)
-        table = SplitTable(scenario)
-        for _ in range(40):
-            i, m = int(rng.integers(0, 12)), int(rng.integers(1, table.cap + 1))
-            user = scenario.users[i]
+        with warnings.catch_warnings():
+            # The interior root runs on every cell; a stray nan or inf must not warn.
+            warnings.simplefilter("error")
+            table = SplitTable(scenario)
+        for (i, user), m in product(enumerate(scenario.users), range(1, table.cap + 1)):
             res = optimal_split(user, m, scenario.edge, scenario.pai)
             cases[res.case] += 1
             split, value = table.granted(i, m)
             assert split == res.split
-            assert value == pytest.approx(res.inner_value, rel=1e-12)
-            assert value == pytest.approx(
-                user_qoe(user, DecisionEntry(granted=True, split=split), m,
-                         scenario.edge, scenario.pai), rel=1e-12)
+            assert value == res.inner_value
+            assert value == user_qoe(user, DecisionEntry(granted=True, split=split), m,
+                                     scenario.edge, scenario.pai)
         for i, user in enumerate(scenario.users):
             deny = user_qoe(user, DecisionEntry(granted=False, split=scenario.pai.n_total),
                             0, scenario.edge, scenario.pai)
-            assert float(table.deny[i]) == pytest.approx(deny, rel=1e-12)
+            assert float(table.deny[i]) == deny
     assert set(cases) == {LOCAL_DOMINATES, PAI_SATURATED, LATENCY_SATURATED, INTERIOR_ROOT}
 
 
@@ -110,15 +118,56 @@ def test_fixed_split_grid_matches_scalar_value():
                 assert grid[i, m - 1] == pytest.approx(expected, rel=1e-12)
 
 
+def argsort_count_totals(table):
+    """The oracle's totals as first written: a stable argsort of every m's gains."""
+    deny_total = sequential_sum(table.deny)
+    if table.cap == 0:
+        return np.array([deny_total])
+    gains = np.ascontiguousarray((table.values - table.deny[:, None]).T)
+    order = np.argsort(-gains, axis=1, kind="stable")
+    top = np.cumsum(np.take_along_axis(gains, order, axis=1), axis=1)
+    return deny_total + np.concatenate(([0.0], top.diagonal()))
+
+
 def test_oracle_matches_per_m_sort_reference():
     rng = np.random.default_rng(77)
+    scenarios = []
     for seed in range(40):
         users = int(rng.integers(1, 40))
-        scenario = make_scenario(seed, users, b_max=int(rng.integers(0, users + 3)),
-                                 gpus=int(rng.choice([1, 2, 4, 8, 16])))
+        scenarios.append(make_scenario(seed, users, b_max=int(rng.integers(0, users + 3)),
+                                       gpus=int(rng.choice([1, 2, 4, 8, 16]))))
+    # Far more users than grants: each sort ranks many more users than it keeps.
+    scenarios += [make_scenario(seed, users, b_max, gpus=gpus) for seed, (users, b_max, gpus)
+                  in enumerate(product((200, 1000), (16, 64), (1, 8)), start=40)]
+    for scenario in scenarios:
+        table = SplitTable(scenario)
+        assert np.array_equal(grant_count_totals(table), argsort_count_totals(table))
         decision = solve_count_oracle(scenario)
         granted = {i for i, e in enumerate(decision.entries) if e.granted}
         assert granted == per_m_sort_oracle(scenario)
+
+
+def test_oracle_breaks_a_tie_across_the_cut_toward_lower_ids():
+    # Copies of one user, at scattered ids among distinct users: where the
+    # chosen count cuts through the copies, the lowest-id copies are granted.
+    base = make_scenario(seed=11, users=10, b_max=1).users
+    population = list(base) + [base[4]] * 5
+    positions = np.random.default_rng(3).permutation(len(population))
+    users = [replace(population[p], id=i) for i, p in enumerate(positions)]
+    copies = [i for i, p in enumerate(positions) if population[p] == base[4]]
+    straddled = 0
+    for b_max in range(1, len(users) + 1):
+        scenario = Scenario(users=users, edge=default_edge(gpus=8, b_max=b_max),
+                            pai=PaiParams(), seed=0)
+        table = SplitTable(scenario)
+        assert np.array_equal(grant_count_totals(table), argsort_count_totals(table))
+        decision = solve_count_oracle(scenario)
+        granted = {i for i, e in enumerate(decision.entries) if e.granted}
+        assert granted == per_m_sort_oracle(scenario)
+        won = [i for i in copies if i in granted]
+        assert won == copies[:len(won)]
+        straddled += 0 < len(won) < len(copies)
+    assert straddled > 0
 
 
 def test_oracle_breaks_equal_gains_toward_lower_index():

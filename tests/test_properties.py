@@ -4,7 +4,9 @@ Scenarios come from seeded numpy draws that lean on the edges: no users,
 one user, no edge capacity, capacity equal to the user count, and a single
 edge GPU. Every solver's decision must be feasible with a finite objective,
 none may beat the count oracle, exhaustive enumeration must equal it, and
-branch and bound must reach the fixed-split optimum.
+branch and bound must reach the fixed-split optimum. The count oracle is
+also checked against exhaustive enumeration on scenarios drawn by
+hypothesis, with derandomized draws so that every run sees the same ones.
 """
 
 import math
@@ -12,6 +14,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffload.baselines import (
     GaConfig,
@@ -107,3 +111,25 @@ def test_every_solver_is_feasible_finite_and_bounded_by_the_oracle(policy):
         assert close_or_below(oracle, exhaustive), (exhaustive, oracle, label)
         bnb, fixed = objective(scenario, decisions["bnb"]), fixed_split_optimum(scenario)
         assert close_or_below(fixed, bnb) and close_or_below(bnb, fixed), (bnb, fixed, label)
+
+
+@st.composite
+def scenarios_with_copies(draw):
+    """1-12 generated users, some of them replaced by copies of one user, and b_max 0-14."""
+    users = draw(st.integers(1, 12))
+    scenario = generate_scenario(draw(st.integers(0, 2**31 - 1)),
+                                 GeneratorConfig(user_count=users),
+                                 default_edge(gpus=draw(st.sampled_from([1, 2, 4, 8, 16])),
+                                              b_max=draw(st.integers(0, 14))))
+    source = scenario.users[draw(st.integers(0, users - 1))]
+    copied = draw(st.sets(st.integers(0, users - 1)))
+    return replace(scenario, users=[replace(source, id=i) if i in copied else user
+                                    for i, user in enumerate(scenario.users)])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(scenarios_with_copies())
+def test_count_oracle_reaches_the_exhaustive_objective(scenario):
+    oracle = objective(scenario, solve_count_oracle(scenario))
+    exhaustive = objective(scenario, solve_exhaustive(scenario))
+    assert close_or_below(oracle, exhaustive) and close_or_below(exhaustive, oracle)
