@@ -50,9 +50,10 @@ import numpy as np
 from ..env import (
     DENIED,
     EnvState,
-    Transition,
+    EpisodeRecord,
     assign_rewards,
     decision_from_state,
+    global_features,
     reset,
     run_episode,
     step,
@@ -158,22 +159,19 @@ def train_step(net: QNetwork, target_net: QNetwork, adam: Adam,
     return loss
 
 
-def _push_episode(buffer: ReplayBuffer, transitions: list[Transition],
+def _push_episode(buffer: ReplayBuffer, record: EpisodeRecord,
                   rewards: list[float]) -> None:
-    """Push one episode into the replay buffer, one call per partition.
+    """Push one episode into the replay buffer: its terminal step, then the rest.
 
-    Features are stored in `TRAIN_DTYPE`, as the network narrows them.
+    Only the last step ends the episode. Features are stored in
+    `TRAIN_DTYPE`, as the network narrows them.
     """
-    done = np.array([tr.done for tr in transitions])
-    features = np.array([tr.features for tr in transitions], dtype=TRAIN_DTYPE)
-    actions = np.array([tr.action for tr in transitions])
-    scaled = np.array(rewards) * REWARD_SCALE
-    next_features = np.array([tr.next_features for tr in transitions], dtype=TRAIN_DTYPE)
-    for terminal in (True, False):
-        rows = done == terminal
-        if rows.any():
-            buffer.push(features[rows], actions[rows], scaled[rows], next_features[rows],
-                        terminal=terminal)
+    features = record.features.astype(TRAIN_DTYPE)
+    actions, scaled = record.actions, np.array(rewards) * REWARD_SCALE
+    last = len(actions) - 1
+    buffer.push(features[last:-1], actions[last:], scaled[last:], features[-1:], terminal=True)
+    if last:
+        buffer.push(features[:last], actions[:last], scaled[:last], features[1:-1], terminal=False)
 
 
 def _derive(seed: int, *key: int) -> tuple[np.random.Generator, int]:
@@ -304,9 +302,9 @@ def train(source: ScenarioSource, hyper: TrainHyper, seed: int,
         record = run_episode(scenario, exploring, i_max, alpha_scale)
         rewards = assign_rewards(record, scenario)
         returns.append(sum(rewards))
-        _push_episode(buffer, record.transitions, rewards)
+        _push_episode(buffer, record, rewards)
 
-        credit += len(record.transitions) / hyper.train_every
+        credit += len(record.actions) / hyper.train_every
         while credit >= 1.0:
             loss = train_step(net, target, adam, buffer, hyper, rng)
             if loss is None:
@@ -344,9 +342,9 @@ def greedy_rollout(policy: TrainedPolicy, scenario: Scenario) -> tuple[EnvState,
     - `table` holds each user's `user_statics` row and status embedding in
       processing order, twice over, so the rotation that puts the
       in-progress user first is the slice `table[cursor:cursor + I]`.
-    - `x` is the (1, input_dim) input. Its filler slots and its three
-      constant globals are written once; each step copies in the slice and
-      the three counters.
+    - `x` is the (1, input_dim) input. Its filler slots are written once;
+      each step copies in the slice and writes the globals through
+      `env.global_features`.
     - A step that does not end the episode changes two statuses: the user
       just decided and the next one in progress. Only their rows are
       embedded again, in both halves of the table.
@@ -368,16 +366,12 @@ def greedy_rollout(policy: TrainedPolicy, scenario: Scenario) -> tuple[EnvState,
     blocks = x[0, :i_max * width].reshape(i_max, width)
     blocks[users:, :3] = 0.0
     blocks[users:, 3:] = embed[DENIED]
-    globals_ = x[0, i_max * width:]
-    globals_[:3] = state.b_max / i_max, state.k_hat_e, state.h_e
     q_values = np.empty((users, N_ACTIONS), net.dtype)
     steps = 0
     while not state.done:
         cursor = state.cursor
         blocks[:users] = table[cursor:cursor + users]
-        globals_[3] = state.pending / i_max
-        globals_[4] = state.granted / i_max
-        globals_[5] = state.denied / i_max
+        global_features(state, i_max, x[0, i_max * width:])
         q = q_values[steps] = net.dense(x)[0]
         steps += 1
         state, done = step(state, greedy_action(q))
@@ -419,8 +413,9 @@ def load_policy(path: str | Path) -> TrainedPolicy:
     """Read a policy file written by `save_policy`.
 
     Every malformed file raises `ValidationError`: bad JSON, a missing or
-    mistyped field, or weights whose keys, shapes or values do not fit a
-    network of the stored `i_max` and `hidden`.
+    mistyped field, an `alpha_scale` that is not finite and positive, or
+    weights whose keys, shapes or values do not fit a network of the stored
+    `i_max` and `hidden`.
     """
     try:
         obj = json.loads(Path(path).read_text())
@@ -443,6 +438,9 @@ def load_policy(path: str | Path) -> TrainedPolicy:
         raise ValidationError(f"{path}: policy file lacks the field {exc}") from exc
     except (TypeError, ValueError, AttributeError) as exc:
         raise ValidationError(f"{path}: malformed policy file ({exc})") from exc
+    if not (np.isfinite(policy.alpha_scale) and policy.alpha_scale > 0):
+        raise ValidationError(
+            f"{path}: alpha_scale must be finite and positive, got {policy.alpha_scale}")
     expected = QNetwork.param_shapes(policy.i_max, policy.hidden)
     shapes = {key: value.shape for key, value in policy.params.items()}
     if shapes != expected:

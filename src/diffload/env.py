@@ -6,16 +6,19 @@ user under the cursor. Transitions are deterministic. The episode ends when
 every request has been handled or the grant cap is reached, at which point
 all still-pending users are denied.
 
+An episode is recorded as arrays (:class:`EpisodeRecord`), each state
+encoded straight into its row of one feature matrix.
+
 Because the per-user quality terms depend on the final grant count (through
 batching and bandwidth sharing), rewards cannot be emitted during the
-episode; :func:`assign_rewards` computes them once the final decision is
-fixed, splitting the objective into per-step accuracy credits plus a
-terminal correction so that the rewards sum exactly to the objective.
+episode; :func:`assign_rewards` computes them from the finished record,
+splitting the objective into per-step accuracy credits plus a terminal
+correction so that the rewards sum exactly to the objective.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -162,7 +165,19 @@ def encode(state: EnvState, i_max: int, alpha_scale: float = 1.0) -> np.ndarray:
     users with denied-status filler. Status codes stay integer-valued
     tokens for the embedding lookup.
     """
-    return _encode_local(state, _local_rows(state, alpha_scale), i_max)
+    out = np.zeros(i_max * FEATURES_PER_USER + N_GLOBALS)
+    _encode_local(state, _local_rows(state, alpha_scale), i_max, out)
+    return out
+
+
+def global_features(state: EnvState, i_max: int, out: np.ndarray) -> None:
+    """Write the N_GLOBALS global features of `state` into `out`."""
+    out[0] = state.b_max / i_max
+    out[1] = state.k_hat_e
+    out[2] = state.h_e
+    out[3] = state.pending / i_max
+    out[4] = state.granted / i_max
+    out[5] = state.denied / i_max
 
 
 def _local_rows(state: EnvState, alpha_scale: float) -> np.ndarray:
@@ -176,64 +191,50 @@ def _local_rows(state: EnvState, alpha_scale: float) -> np.ndarray:
     return local
 
 
-def _encode_local(state: EnvState, local: np.ndarray, i_max: int) -> np.ndarray:
-    """`encode` from rows made by `_local_rows` for the same episode."""
+def _encode_local(state: EnvState, local: np.ndarray, i_max: int, out: np.ndarray) -> None:
+    """Write `encode`'s vector into `out`, which must hold zeros, from rows
+    `_local_rows` made for the same episode."""
     n = state.user_count
     if n > i_max:
         raise ContractError(f"state has {n} users, encoder capacity is {i_max}")
-    out = np.zeros(i_max * FEATURES_PER_USER + N_GLOBALS)
     rows = out[:i_max * FEATURES_PER_USER].reshape(i_max, FEATURES_PER_USER)
     local[:, 3] = state.statuses
     start = max(state.cursor, 0)
     np.concatenate((local[start:], local[:start]), out=rows[:n])
     rows[n:, 3] = DENIED  # filler slots read as already-denied
-    g = i_max * FEATURES_PER_USER
-    out[g] = state.b_max / i_max
-    out[g + 1] = state.k_hat_e
-    out[g + 2] = state.h_e
-    out[g + 3] = state.pending / i_max
-    out[g + 4] = state.granted / i_max
-    out[g + 5] = state.denied / i_max
-    return out
+    global_features(state, i_max, out[i_max * FEATURES_PER_USER:])
 
 
-@dataclass
-class Transition:
-    features: np.ndarray
-    action: int
-    next_features: np.ndarray
-    done: bool
-
-
-@dataclass
+@dataclass(frozen=True)
 class EpisodeRecord:
-    transitions: list[Transition] = field(default_factory=list)
-    handled_order: list[int] = field(default_factory=list)  # user ids, one per step
-    final_state: EnvState | None = None
-    decision: Decision | None = None
-    rewards: list[float] | None = None
+    """One finished episode: ``features`` row t encodes the state before step t
+    (the last row the terminal state), decided by ``actions[t]`` on the user
+    whose id is ``handled_order[t]``."""
 
-    @property
-    def complete(self) -> bool:
-        return self.final_state is not None and self.final_state.done
+    features: np.ndarray
+    actions: np.ndarray
+    handled_order: list[int]
+    final_state: EnvState
 
 
 def run_episode(scenario: Scenario, policy, i_max: int,
                 alpha_scale: float = 1.0) -> EpisodeRecord:
     """Roll out one episode; `policy(features) -> action` drives the choices."""
-    record = EpisodeRecord()
     state = reset(scenario)
     local = _local_rows(state, alpha_scale)
-    features = _encode_local(state, local, i_max)
+    # At most one step per user; the record keeps the rows it used.
+    features = np.zeros((state.user_count + 1, i_max * FEATURES_PER_USER + N_GLOBALS))
+    actions = np.empty(state.user_count, dtype=np.int64)
+    steps = 0
+    _encode_local(state, local, i_max, features[0])
     while not state.done:
-        action = int(policy(features))
-        record.handled_order.append(state.user_ids[state.cursor])
-        state, done = step(state, action)
-        next_features = _encode_local(state, local, i_max)
-        record.transitions.append(Transition(features, action, next_features, done))
-        features = next_features
-    record.final_state = state
-    return record
+        actions[steps] = action = int(policy(features[steps]))
+        state, _ = step(state, action)
+        steps += 1
+        _encode_local(state, local, i_max, features[steps])
+    # Users are handled in processing order.
+    return EpisodeRecord(features[:steps + 1], actions[:steps],
+                         list(state.user_ids[:steps]), state)
 
 
 def decision_from_state(state: EnvState, scenario: Scenario) -> Decision:
@@ -252,17 +253,13 @@ def assign_rewards(episode: EpisodeRecord, scenario: Scenario) -> list[float]:
     Each non-terminal step earns the handled user's accuracy credit
     alpha * F(n*); the terminal step earns the accuracy credits of the
     terminal user plus all auto-denied remainders, minus the total latency
-    of everyone. Also fills ``episode.decision`` and ``episode.rewards``.
+    of everyone. A record whose final state is not terminal raises
+    `ContractError`.
     """
-    if not episode.complete:
-        raise ContractError("cannot assign rewards before the episode completes")
     decision = decision_from_state(episode.final_state, scenario)
     parts = CostModel.from_scenario(scenario).breakdown(decision)
     pai_terms = parts.pai_term.tolist()  # indexed by user id
     handled = episode.handled_order
     visited = set(handled[:-1])
     tail = sum(v for uid, v in enumerate(pai_terms) if uid not in visited)
-    rewards = [pai_terms[uid] for uid in handled[:-1]] + [tail - sequential_sum(parts.total)]
-    episode.decision = decision
-    episode.rewards = rewards
-    return rewards
+    return [pai_terms[uid] for uid in handled[:-1]] + [tail - sequential_sum(parts.total)]

@@ -22,7 +22,7 @@ from diffload.baselines import (
 from diffload.cli import main as cli_main
 from diffload.dqn import ScenarioSource, TrainedPolicy, TrainHyper, greedy_solve, train
 from diffload.dqn.network import QNetwork
-from diffload.env import assign_rewards, run_episode
+from diffload.env import assign_rewards, decision_from_state, run_episode
 from diffload.qoe import Decision, DecisionEntry, DecisionEntry as Entry, objective, user_qoe
 from diffload.quadratic import absorb_linear, build_quadratic, eval_quadratic
 from diffload.scenario import (
@@ -150,7 +150,7 @@ def test_criterion_4_reward_sum_identity():
         record = run_episode(scenario, lambda f: int(rng.integers(2)),
                              i_max=scenario.user_count)
         rewards = assign_rewards(record, scenario)
-        total = objective(scenario, record.decision)
+        total = objective(scenario, decision_from_state(record.final_state, scenario))
         assert close(sum(rewards), total), (
             f"seed {scenario.seed}: rewards {sum(rewards)} vs objective {total}")
 

@@ -266,6 +266,16 @@ def test_solve_dqn_policy_with_misshapen_weights_is_clean_error(scenario_file, p
     assert code == 2 and err.startswith("error:") and "do not fit i_max 10" in err
 
 
+@pytest.mark.parametrize("alpha_scale", [0.0, float("nan"), float("inf"), -1.0])
+def test_solve_dqn_policy_with_a_bad_alpha_scale_is_clean_error(scenario_file, policy_file,
+                                                                 capsys, alpha_scale):
+    obj = json.loads(policy_file.read_text())
+    obj["alpha_scale"] = alpha_scale
+    policy_file.write_text(json.dumps(obj))  # writes NaN and Infinity as bare tokens
+    code, err = solve_with_policy(scenario_file, policy_file, capsys)
+    assert code == 2 and err.startswith("error:") and "alpha_scale" in err
+
+
 def test_train_zero_budget_fails(tmp_path, scenario_file, capsys):
     code = run(["train", "--scope", "specific", "--seed", 5, "--episodes", 0,
                 "--scenario", scenario_file, "-o", tmp_path / "p.json"])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffload.env import (
     DENIED,
@@ -7,6 +9,7 @@ from diffload.env import (
     IN_PROGRESS,
     PENDING,
     EnvState,
+    EpisodeRecord,
     assign_rewards,
     decision_from_state,
     encode,
@@ -222,9 +225,43 @@ def test_reward_sum_identity_random_policies():
         scenario = make_scenario(seed=trial, users=users, b_max=b_max)
         record = run_episode(scenario, lambda f: int(rng.integers(2)), i_max=users)
         rewards = assign_rewards(record, scenario)
-        assert len(rewards) == len(record.transitions)
-        total = objective(scenario, record.decision)
+        assert len(rewards) == len(record.actions)
+        total = objective(scenario, decision_from_state(record.final_state, scenario))
         assert sum(rewards) == pytest.approx(total, rel=1e-9, abs=1e-9)
+
+
+@st.composite
+def episodes(draw):
+    """A scenario of 1-11 users with b_max 1-17, the encoder's settings, and one action per user."""
+    users = draw(st.integers(1, 11))
+    scenario = make_scenario(seed=draw(st.integers(0, 2**31 - 1)), users=users,
+                             b_max=draw(st.integers(1, 17)))
+    i_max = users + draw(st.integers(0, 3))
+    alpha_scale = draw(st.sampled_from([1.0, 250.0]))
+    actions = draw(st.lists(st.integers(0, 1), min_size=users, max_size=users))
+    return scenario, i_max, alpha_scale, actions
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(episodes())
+def test_episode_record_encodes_each_state_and_its_rewards_sum_to_the_objective(episode):
+    scenario, i_max, alpha_scale, actions = episode
+    chosen = iter(actions)
+    record = run_episode(scenario, lambda features: next(chosen), i_max, alpha_scale)
+    assert len(record.features) == len(record.actions) + 1
+    state = reset(scenario)
+    for t, action in enumerate(record.actions):
+        assert np.array_equal(record.features[t], encode(state, i_max, alpha_scale))
+        assert record.handled_order[t] == state.user_ids[state.cursor]
+        assert action == actions[t]
+        state, _ = step(state, int(action))
+    # `step` raises on a terminal state, so the episode took exactly these steps.
+    assert state.done and state == record.final_state
+    assert np.array_equal(record.features[-1], encode(state, i_max, alpha_scale))
+    rewards = assign_rewards(record, scenario)
+    assert len(rewards) == len(record.actions)
+    total = objective(scenario, decision_from_state(state, scenario))
+    assert sum(rewards) == pytest.approx(total, rel=1e-9, abs=1e-9)
 
 
 def test_single_user_terminal_reward_is_full_objective():
@@ -232,7 +269,8 @@ def test_single_user_terminal_reward_is_full_objective():
     record = run_episode(scenario, lambda f: 1, i_max=1)
     rewards = assign_rewards(record, scenario)
     assert len(rewards) == 1
-    assert rewards[0] == pytest.approx(objective(scenario, record.decision), rel=1e-12)
+    decision = decision_from_state(record.final_state, scenario)
+    assert rewards[0] == pytest.approx(objective(scenario, decision), rel=1e-12)
 
 
 def test_final_decision_always_feasible():
@@ -277,6 +315,7 @@ def test_decision_from_state_matches_per_user_split_loop():
 
 def test_rewards_require_complete_episode():
     scenario = make_scenario(users=3)
-    from diffload.env import EpisodeRecord
+    record = EpisodeRecord(features=np.zeros((1, 18)), actions=np.zeros(0, dtype=np.int64),
+                           handled_order=[], final_state=reset(scenario))
     with pytest.raises(ContractError):
-        assign_rewards(EpisodeRecord(), scenario)
+        assign_rewards(record, scenario)

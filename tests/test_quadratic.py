@@ -1,3 +1,4 @@
+import json
 from itertools import product
 
 import numpy as np
@@ -15,19 +16,36 @@ def fixed_split_decision(scenario, grants, split):
     ])
 
 
-def test_single_user_has_one_quadratic_entry():
+def dense_quadratic(qf):
+    """The (I, 2, I, 2) tensor A of the module docstring, built entry by entry."""
+    n = len(qf.coupling)
+    quad = np.zeros((n, 2, n, 2))
+    for i2, i1 in product(range(n), repeat=2):
+        quad[i2, GRANT, i1, GRANT] = -qf.coupling[i1] if qf.absorbed else qf.coupling[i1]
+    if qf.absorbed:
+        for i, j in product(range(n), (DENY, GRANT)):
+            quad[i, j, i, j] = qf.linear[i, j]
+    return quad
+
+
+def exported_entries(qf, path):
+    export_quadratic(qf, path)
+    return json.loads(path.read_text())["quadratic"]
+
+
+def test_single_user_has_one_quadratic_entry(tmp_path):
     scenario = generate_scenario(1, GeneratorConfig(user_count=1), default_edge())
     qf = build_quadratic(scenario, 80)
-    nonzero = np.argwhere(qf.quadratic != 0.0)
-    assert nonzero.shape[0] == 1
-    assert tuple(nonzero[0]) == (0, GRANT, 0, GRANT)
+    assert qf.coupling.shape == (1,) and qf.coupling[0] != 0.0
+    assert exported_entries(qf, tmp_path / "qf.json") == [[0, GRANT, 0, GRANT, qf.coupling[0]]]
 
 
-def test_deny_couplings_are_zero():
+def test_deny_couplings_are_zero(tmp_path):
     scenario = generate_scenario(2, GeneratorConfig(user_count=5), default_edge())
     qf = build_quadratic(scenario, 120)
-    assert np.all(qf.quadratic[:, DENY, :, :] == 0.0)
-    assert np.all(qf.quadratic[:, :, :, DENY] == 0.0)
+    entries = exported_entries(qf, tmp_path / "qf.json")
+    assert len(entries) == 25
+    assert all(j2 == GRANT and j1 == GRANT for _, j2, _, j1, _ in entries)
 
 
 def test_all_deny_evaluates_to_linear_deny_sum():
@@ -41,7 +59,8 @@ def test_quadratic_symmetric_for_identical_payloads():
     # default generator gives every user the same payload sizes
     scenario = generate_scenario(4, GeneratorConfig(user_count=4), default_edge())
     qf = build_quadratic(scenario, 100)
-    flat = qf.quadratic.reshape(8, 8)
+    assert np.all(qf.coupling == qf.coupling[0])
+    flat = dense_quadratic(qf).reshape(8, 8)
     assert np.array_equal(flat, flat.T)
 
 
@@ -77,16 +96,10 @@ def test_absorption_identity_three_users():
 def test_absorbing_zero_quadratic_leaves_linear_on_diagonal():
     scenario = generate_scenario(6, GeneratorConfig(user_count=3), default_edge())
     qf = build_quadratic(scenario, 80)
-    qf.quadratic[:] = 0.0
+    qf.coupling[:] = 0.0
     folded = absorb_linear(qf)
-    for i in range(3):
-        for j in (DENY, GRANT):
-            assert folded.quadratic[i, j, i, j] == qf.linear[i, j]
-    off_diag = folded.quadratic.copy()
-    for i in range(3):
-        for j in (DENY, GRANT):
-            off_diag[i, j, i, j] = 0.0
-    assert np.all(off_diag == 0.0)
+    assert np.array_equal(folded.linear, qf.linear)
+    assert np.all(folded.coupling == 0.0)
 
 
 def test_double_absorption_rejected():
@@ -105,16 +118,19 @@ def test_build_rejects_split_outside_domain():
 
 
 def test_export_roundtrip_values(tmp_path):
-    import json
     scenario = generate_scenario(9, GeneratorConfig(user_count=3), default_edge())
     qf = build_quadratic(scenario, 90)
-    path = tmp_path / "qf.json"
-    export_quadratic(qf, path)
-    obj = json.loads(path.read_text())
-    assert obj["fixed_split"] == 90
-    linear = np.asarray(obj["linear"])
-    assert np.array_equal(linear, qf.linear)
-    rebuilt = np.zeros_like(qf.quadratic)
-    for i2, j2, i1, j1, v in obj["quadratic"]:
-        rebuilt[i2, j2, i1, j1] = v
-    assert np.array_equal(rebuilt, qf.quadratic)
+    for form in (qf, absorb_linear(qf)):
+        path = tmp_path / "qf.json"
+        export_quadratic(form, path)
+        obj = json.loads(path.read_text())
+        assert obj["fixed_split"] == 90 and obj["absorbed"] == form.absorbed
+        linear = np.asarray(obj["linear"])
+        assert np.array_equal(linear, np.zeros((3, 2)) if form.absorbed else qf.linear)
+        dense = dense_quadratic(form)
+        # The nonzero entries, in the row-major order of the dense tensor.
+        assert [entry[:4] for entry in obj["quadratic"]] == np.argwhere(dense != 0.0).tolist()
+        rebuilt = np.zeros_like(dense)
+        for i2, j2, i1, j1, v in obj["quadratic"]:
+            rebuilt[i2, j2, i1, j1] = v
+        assert np.array_equal(rebuilt, dense)

@@ -12,9 +12,11 @@ from diffload.dqn.network import Adam, QNetwork
 from diffload.dqn.replay import ReplayBuffer
 from diffload.dqn.training import (
     LEARNING_RATE,
+    REWARD_SCALE,
     ScenarioSource,
     TrainedPolicy,
     TrainHyper,
+    _push_episode,
     greedy_action,
     greedy_rollout,
     greedy_solve,
@@ -26,7 +28,7 @@ from diffload.dqn.training import (
     train,
     train_step,
 )
-from diffload.env import decision_from_state, run_episode
+from diffload.env import assign_rewards, decision_from_state, run_episode
 from diffload.qoe import objective, validate_decision
 from diffload.scenario import GeneratorConfig, PaiParams, ValidationError, default_edge, generate_scenario
 
@@ -183,6 +185,31 @@ def test_target_sync_exact_at_multiples():
         elif step_count % 7 == 1 and step_count > 1:
             assert not all(np.array_equal(target.params[k], net.params[k])
                            for k in net.params)
+
+
+@pytest.mark.parametrize("users, b_max, action", [(1, 8, 0), (5, 1, 1), (6, 8, 0)],
+                         ids=["one user", "first grant at b_max 1", "six denies"])
+def test_push_episode_stores_the_terminal_step_apart(users, b_max, action):
+    scenario = generate_scenario(3, GeneratorConfig(user_count=users), default_edge(b_max=b_max))
+    record = run_episode(scenario, lambda features: action, i_max=users)
+    rewards = assign_rewards(record, scenario)
+    buf = ReplayBuffer(1000)
+    _push_episode(buf, record, rewards)
+    features = record.features.astype(np.float32)
+    scaled = np.array(rewards) * REWARD_SCALE
+    steps = len(record.actions)
+    assert steps == (1 if b_max == 1 else users)
+    assert buf.terminal.size == 1 and buf.regular.size == steps - 1
+    stored, actions, stored_rewards, next_stored = (col[:1] for col in buf.terminal.columns)
+    assert np.array_equal(stored, features[-2:-1]) and np.array_equal(next_stored, features[-1:])
+    assert actions[0] == action and stored_rewards[0] == scaled[-1]
+    if steps == 1:
+        assert buf.regular.columns is None
+        return
+    stored, actions, stored_rewards, next_stored = (col[:steps - 1] for col in buf.regular.columns)
+    assert np.array_equal(stored, features[:-2]) and np.array_equal(next_stored, features[1:-1])
+    assert np.array_equal(actions, record.actions[:-1])
+    assert np.array_equal(stored_rewards, scaled[:-1])
 
 
 # -- full training loop ---------------------------------------------------------
@@ -376,7 +403,6 @@ def test_specific_training_beats_random_policy():
     greedy_value = objective(scenario, greedy_solve(result.policy, scenario))
 
     rng = np.random.default_rng(99)
-    from diffload.env import assign_rewards, run_episode
     random_returns = []
     for _ in range(300):
         record = run_episode(scenario, lambda f: int(rng.integers(2)), i_max=8)
