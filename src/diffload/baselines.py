@@ -5,7 +5,9 @@ All solvers return a feasible :class:`Decision` and are deterministic given
 their seed. The count-enumeration oracle is the ground truth used across
 the test suite: every latency coupling between users flows through the
 grant count m alone, so enumerating m and greedily picking the m users with
-the largest grant-vs-deny gain is exact, in O(B_max * I log I).
+the largest grant-vs-deny gain is exact. It takes O(B_max * I log I) time at
+worst; on large instances a pre-pass first drops the users that cannot enter
+any top-m set, and only the rest are solved for every m and ranked.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costmodel import CostModel, SplitTable, sequential_sum
+from .costmodel import CostModel, SplitTable, decision_of, sequential_sum
 from .env import processing_order
 from .qoe import Decision, DecisionEntry, all_local_decision
 from .scenario import Scenario, ValidationError
@@ -233,23 +235,56 @@ def solve_bnb(scenario: Scenario, stats: BnbStats | None = None) -> Decision:
 # Exact oracles
 # ---------------------------------------------------------------------------
 
-def grant_count_totals(table: SplitTable) -> np.ndarray:
-    """(cap + 1,) objective of the best set of exactly m grants, for m = 0..cap.
+# The oracle's pre-pass costs about one extra grid call, so it runs only where
+# it could remove at least this many (user, grant count) cells: (I - cap) * cap.
+PRUNE_MIN_CELLS = 16384
+# Rows of up to this many gains sort faster whole than through np.partition
+# first (numpy 2.4 on x86-64, at 8 to 64 grants).
+WHOLE_SORT_MAX = 256
+
+
+def ranked_gains(values: np.ndarray, deny: np.ndarray) -> np.ndarray:
+    """(cap, min(K, cap)) ranked gains of K users from their (K, cap) grid of
+    granted values and (K,) deny values: row m - 1 holds the largest gains in
+    a round of m grants, in descending order.
+
+    A row longer than `WHOLE_SORT_MAX` is cut to its top cap gains before
+    the sort; they are the values a full descending sort would put first,
+    in the same order.
+    """
+    # Rows are contiguous, which makes the per-row partition and sort faster
+    # than column ones.
+    gains = np.ascontiguousarray((values - deny[:, None]).T)
+    cap, k = gains.shape
+    if cap and k > max(cap, WHOLE_SORT_MAX):
+        gains = np.partition(gains, k - cap, axis=1)[:, k - cap:]
+    return -np.sort(-gains, axis=1)[:, :cap]
+
+
+def grant_count_totals(deny: np.ndarray, ranked: np.ndarray) -> np.ndarray:
+    """(cap + 1,) objective of the best set of exactly m grants, for m = 0..cap,
+    from every user's (I,) deny values and the ranked gains (`ranked_gains`).
 
     For each m, every user's gain from being granted (at optimal split, in
     a round of m) over being denied is independent of who else is granted,
-    so the best set of m grants is the top-m gains. One descending sort of
-    each grant count's gains and a cumulative sum give every m's value at
-    once. The sorted values, and so the totals, do not depend on how ties
-    are ordered.
+    so the best set of m grants is the top-m gains. A cumulative sum of each
+    grant count's ranked gains gives every m's value at once. The ranked
+    values, and so the totals, do not depend on how ties are ordered.
     """
-    # Row m - 1 holds every user's gain in a round of m grants; rows are
-    # contiguous, which makes the per-row sort faster than a column sort.
-    gains = np.ascontiguousarray((table.values - table.deny[:, None]).T)
-    descending = -np.sort(-gains, axis=1)
-    top = np.cumsum(descending[:, :table.cap], axis=1)
+    top = np.cumsum(ranked, axis=1)
     # Index 0 is m = 0 (all local).
-    return sequential_sum(table.deny) + np.concatenate(([0.0], top.diagonal()))
+    return sequential_sum(deny) + np.concatenate(([0.0], top.diagonal()))
+
+
+def _oracle_candidates(model: CostModel, deny: np.ndarray, cap: int) -> np.ndarray:
+    """Ascending ids of the users whose gain at one grant is at least the
+    cap-th largest gain at cap grants; see `solve_count_oracle`."""
+    _, ends = model.optimal_splits(np.array([1, cap]))
+    at_one, at_cap = (ends - deny[:, None]).T
+    n = len(deny)
+    threshold = np.partition(at_cap, n - cap)[n - cap]
+    # Users equal to the threshold stay, so tied copies are ranked together.
+    return np.flatnonzero(at_one >= threshold)
 
 
 def solve_count_oracle(scenario: Scenario) -> Decision:
@@ -258,14 +293,40 @@ def solve_count_oracle(scenario: Scenario) -> Decision:
     argmax keeps the first of equal totals, so the fewest grants win a tie.
     The stable descending order of the gains, in which ties go to the lower
     user index, is taken for the chosen count only.
+
+    Where it could remove at least `PRUNE_MIN_CELLS` grid cells, a pre-pass
+    first drops the users that cannot enter any top-m set, and the split
+    grid is filled and ranked for the rest only. It is exact. At a fixed
+    split the computed value does not increase with m, because every
+    operation in ``_transfer``, ``edge_step`` and ``_granted`` is monotone
+    under rounding. Each cell's split is the integer optimum, so a user's
+    gain at any m is at most their gain at m = 1, and every gain column
+    dominates column cap entry by entry. The m-th largest gain at m is then
+    at least L, the cap-th largest gain at cap. Every member of a top-m set,
+    and every user tied with its last member, has a gain at m of at least L
+    and so a gain at one grant of at least L: each is a candidate. The
+    candidates are ranked in ascending id order, so ties still go to the
+    lower id. The deny values are still summed over every user.
     """
-    table = SplitTable(scenario)
-    best = int(np.argmax(grant_count_totals(table)))
-    grants = np.zeros(scenario.user_count, dtype=bool)
+    n = scenario.user_count
+    cap = min(n, scenario.edge.b_max)
+    model = CostModel.from_scenario(scenario)
+    deny = model.denied()
+    users = np.arange(n)
+    if (n - cap) * cap >= PRUNE_MIN_CELLS:
+        users = _oracle_candidates(model, deny, cap)
+        model = model.subset(users)
+    splits, values = model.optimal_splits(np.arange(1, cap + 1))
+    users_deny = deny[users]
+    best = int(np.argmax(grant_count_totals(deny, ranked_gains(values, users_deny))))
+    grants = np.zeros(n, dtype=bool)
+    chosen_splits = np.full(n, scenario.pai.n_total)
     if best > 0:
-        gains = table.values[:, best - 1] - table.deny
-        grants[np.argsort(-gains, kind="stable")[:best]] = True
-    return table.decision(grants)
+        gains = values[:, best - 1] - users_deny
+        ranked = np.argsort(-gains, kind="stable")[:best]
+        grants[users[ranked]] = True
+        chosen_splits[users[ranked]] = splits[ranked, best - 1]
+    return decision_of(grants, chosen_splits)
 
 
 EXHAUSTIVE_LIMIT = 15

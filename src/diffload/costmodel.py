@@ -16,7 +16,7 @@ genetic algorithm and the decision environment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -86,6 +86,11 @@ class CostModel:
             accuracy=_accuracy_table(scenario.pai),
         )
 
+    def subset(self, users: np.ndarray) -> "CostModel":
+        """The model of the given users only, in the given order."""
+        return replace(self, alpha=self.alpha[users], local_step=self.local_step[users],
+                       rtt=self.rtt[users], payload=self.payload[users])
+
     def edge_step(self, m):
         """Per-step edge latency at batch size m, as in qoe.step_latency_edge."""
         device = self.edge.device
@@ -130,10 +135,11 @@ class CostModel:
         return np.subtract(self.alpha[:, None] * self.accuracy[split.astype(np.intp)], total,
                            out=total)
 
-    def optimal_splits(self, cap: int) -> tuple[np.ndarray, np.ndarray]:
-        """(I, cap) optimal splits and their values; column m - 1 holds m grants."""
+    def optimal_splits(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(I, k) optimal splits and their values; column j holds a round of
+        ``counts[j]`` grants, for a (k,) int array of grant counts."""
         pai = self.pai
-        m = np.arange(1, cap + 1)
+        m = np.asarray(counts)
         edge_step = self.edge_step(m)
         delta = self.local_step[:, None] - edge_step
 
@@ -177,7 +183,7 @@ class SplitTable:
         self.cap = min(scenario.user_count, scenario.edge.b_max)
         model = CostModel.from_scenario(scenario)
         self.deny = model.denied()
-        self.splits, self.values = model.optimal_splits(self.cap)
+        self.splits, self.values = model.optimal_splits(np.arange(1, self.cap + 1))
 
     def granted(self, user_idx: int, m: int) -> tuple[int, float]:
         """(optimal split, QoE) for user granted within a round of m grants."""
@@ -198,7 +204,7 @@ class SplitTable:
         else:
             self._check_count(m)
             splits = np.where(grants, self.splits[:, m - 1], n_total)
-        return Decision(entries=list(map(DecisionEntry, grants.tolist(), splits.tolist())))
+        return decision_of(grants, splits)
 
     def value(self, grants) -> float:
         return float(self.row_values([grants])[0])
@@ -216,6 +222,11 @@ class SplitTable:
         granted = self.values[:, np.maximum(m, 1) - 1].T if self.cap else self.deny
         per_user = np.where(grants, granted, self.deny)
         return np.cumsum(per_user, axis=1)[:, -1]
+
+
+def decision_of(grants: np.ndarray, splits: np.ndarray) -> Decision:
+    """The decision with each user's grant flag and split, from two (I,) arrays."""
+    return Decision(entries=list(map(DecisionEntry, grants.tolist(), splits.tolist())))
 
 
 def sequential_sum(values: np.ndarray) -> float:

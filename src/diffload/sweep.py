@@ -118,7 +118,7 @@ def _solve(solver: str, scenario: Scenario, cfg: ExperimentConfig,
            seed: int) -> Decision:
     if solver == "dqn":
         return greedy_solve(cfg.policy, scenario)
-    return baselines.SOLVERS[solver](scenario, rng=np.random.default_rng(seed))
+    return baselines.SOLVERS[solver](scenario, rng=seed)
 
 
 def run_sweep(cfg: ExperimentConfig) -> list[ReportRow]:

@@ -15,6 +15,7 @@ from diffload.baselines import (
     SOLVERS,
     SplitTable,
     grant_count_totals,
+    ranked_gains,
     solve_count_oracle,
     solve_exhaustive,
 )
@@ -141,7 +142,8 @@ def test_oracle_matches_per_m_sort_reference():
                   in enumerate(product((200, 1000), (16, 64), (1, 8)), start=40)]
     for scenario in scenarios:
         table = SplitTable(scenario)
-        assert np.array_equal(grant_count_totals(table), argsort_count_totals(table))
+        ranked = ranked_gains(table.values, table.deny)
+        assert np.array_equal(grant_count_totals(table.deny, ranked), argsort_count_totals(table))
         decision = solve_count_oracle(scenario)
         granted = {i for i, e in enumerate(decision.entries) if e.granted}
         assert granted == per_m_sort_oracle(scenario)
@@ -160,7 +162,8 @@ def test_oracle_breaks_a_tie_across_the_cut_toward_lower_ids():
         scenario = Scenario(users=users, edge=default_edge(gpus=8, b_max=b_max),
                             pai=PaiParams(), seed=0)
         table = SplitTable(scenario)
-        assert np.array_equal(grant_count_totals(table), argsort_count_totals(table))
+        ranked = ranked_gains(table.values, table.deny)
+        assert np.array_equal(grant_count_totals(table.deny, ranked), argsort_count_totals(table))
         decision = solve_count_oracle(scenario)
         granted = {i for i, e in enumerate(decision.entries) if e.granted}
         assert granted == per_m_sort_oracle(scenario)

@@ -6,7 +6,9 @@ edge GPU. Every solver's decision must be feasible with a finite objective,
 none may beat the count oracle, exhaustive enumeration must equal it, and
 branch and bound must reach the fixed-split optimum. The count oracle is
 also checked against exhaustive enumeration on scenarios drawn by
-hypothesis, with derandomized draws so that every run sees the same ones.
+hypothesis, and against the per-m sort reference on scenarios large enough
+for its pre-pass to drop users, with derandomized draws so that every run
+sees the same ones.
 """
 
 import math
@@ -18,7 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffload.baselines import (
+    PRUNE_MIN_CELLS,
     GaConfig,
+    SplitTable,
     baseline_all_local,
     baseline_all_offload_fixed,
     baseline_all_offload_opt,
@@ -31,6 +35,7 @@ from diffload.costmodel import CostModel
 from diffload.dqn import ScenarioSource, TrainHyper, greedy_solve, train
 from diffload.qoe import objective, validate_decision
 from diffload.scenario import GeneratorConfig, PaiParams, default_edge, generate_scenario
+from test_costmodel import per_m_sort_oracle, wide_scenario
 
 MAX_USERS = 10  # exhaustive enumeration and the policy's capacity
 CASES = 300
@@ -133,3 +138,34 @@ def test_count_oracle_reaches_the_exhaustive_objective(scenario):
     oracle = objective(scenario, solve_count_oracle(scenario))
     exhaustive = objective(scenario, solve_exhaustive(scenario))
     assert close_or_below(oracle, exhaustive) and close_or_below(exhaustive, oracle)
+
+
+@st.composite
+def pruned_scenarios_with_copies(draw):
+    """b_max 32-64 and just enough users that (I - cap) * cap reaches
+    PRUNE_MIN_CELLS, with devices and edge drawn as in criterion 3, so users'
+    gains rank differently at different grant counts. The user ranked cap-th
+    by gain at cap grants, whose gain is the pre-pass's threshold, is copied
+    into some slots, so equal gains sit on both sides of it."""
+    b_max = draw(st.integers(32, 64))
+    fewest = -(-PRUNE_MIN_CELLS // b_max) + b_max
+    users = draw(st.integers(fewest, fewest + 40))
+    scenario = wide_scenario(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                             users, b_max)
+    model = CostModel.from_scenario(scenario)
+    gains = model.optimal_splits(np.array([b_max]))[1][:, 0] - model.denied()
+    source = scenario.users[int(np.argsort(-gains, kind="stable")[b_max - 1])]
+    copied = draw(st.sets(st.integers(0, users - 1), max_size=2 * b_max))
+    return replace(scenario, users=[replace(source, id=i) if i in copied else user
+                                    for i, user in enumerate(scenario.users)])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(pruned_scenarios_with_copies())
+def test_pruned_count_oracle_matches_the_per_m_sort_reference(scenario):
+    cap = min(scenario.user_count, scenario.edge.b_max)
+    assert (scenario.user_count - cap) * cap >= PRUNE_MIN_CELLS
+    decision = solve_count_oracle(scenario)
+    grants = [e.granted for e in decision.entries]
+    assert {i for i, granted in enumerate(grants) if granted} == per_m_sort_oracle(scenario)
+    assert decision == SplitTable(scenario).decision(grants)
