@@ -238,9 +238,6 @@ def solve_bnb(scenario: Scenario, stats: BnbStats | None = None) -> Decision:
 # The oracle's pre-pass costs about one extra grid call, so it runs only where
 # it could remove at least this many (user, grant count) cells: (I - cap) * cap.
 PRUNE_MIN_CELLS = 16384
-# Rows of up to this many gains sort faster whole than through np.partition
-# first (numpy 2.4 on x86-64, at 8 to 64 grants).
-WHOLE_SORT_MAX = 256
 
 
 def ranked_gains(values: np.ndarray, deny: np.ndarray) -> np.ndarray:
@@ -248,15 +245,15 @@ def ranked_gains(values: np.ndarray, deny: np.ndarray) -> np.ndarray:
     granted values and (K,) deny values: row m - 1 holds the largest gains in
     a round of m grants, in descending order.
 
-    A row longer than `WHOLE_SORT_MAX` is cut to its top cap gains before
-    the sort; they are the values a full descending sort would put first,
-    in the same order.
+    A row longer than cap is cut to its top cap gains (`np.partition`)
+    before the sort; they are the values a full descending sort would put
+    first, in the same order.
     """
     # Rows are contiguous, which makes the per-row partition and sort faster
     # than column ones.
     gains = np.ascontiguousarray((values - deny[:, None]).T)
     cap, k = gains.shape
-    if cap and k > max(cap, WHOLE_SORT_MAX):
+    if cap and k > cap:
         gains = np.partition(gains, k - cap, axis=1)[:, k - cap:]
     return -np.sort(-gains, axis=1)[:, :cap]
 

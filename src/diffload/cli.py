@@ -53,11 +53,10 @@ def out_dir(args) -> Path:
     return Path(os.environ.get("DIFFLOAD_OUT", "."))
 
 
-def _resolve(args, attr: str, default_name: str) -> Path:
-    value = getattr(args, attr, None)
-    if value is not None:
-        return Path(value)
-    base = Path(os.environ.get("DIFFLOAD_OUT", "."))
+def _resolve(args, default_name: str) -> Path:
+    if args.out is not None:
+        return Path(args.out)
+    base = out_dir(args)
     base.mkdir(parents=True, exist_ok=True)
     return base / default_name
 
@@ -66,7 +65,7 @@ def cmd_generate(args) -> int:
     edge = default_edge(gpus=args.gpus, b_max=args.b_max)
     cfg = GeneratorConfig(user_count=args.users)
     scenario = generate_scenario(args.seed, cfg, edge, PaiParams())
-    path = _resolve(args, "out", "scenario.json")
+    path = _resolve(args, "scenario.json")
     save_scenario(scenario, path)
     clamped = sum(1 for u in scenario.users if u.alpha_clamped)
     print(f"wrote {path} ({scenario.user_count} users, gpus={edge.gpus}, "
@@ -101,7 +100,7 @@ def cmd_train(args) -> int:
     hyper = TrainHyper(episodes=args.episodes, train_every=args.train_every)
     result = train(source, hyper, seed=args.seed)
 
-    policy_path = _resolve(args, "out", "policy.json")
+    policy_path = _resolve(args, "policy.json")
     save_policy(result.policy, policy_path)
     curve_path = policy_path.with_suffix(".curve.csv")
     window = CURVE_WINDOWS[args.scope]
@@ -145,7 +144,7 @@ def cmd_solve(args) -> int:
         rng = np.random.default_rng(args.seed)
         decision = baselines.SOLVERS[args.solver](scenario, rng=rng)
     obj = objective(scenario, decision)  # raises on infeasible output: a solver bug
-    path = _resolve(args, "out", "decision.json")
+    path = _resolve(args, "decision.json")
     path.write_text(json.dumps(_decision_dict(scenario, decision, args.solver, obj),
                                indent=2) + "\n")
     print(f"{args.solver}: objective={obj!r} grants={decision.grant_count} -> {path}")

@@ -1,5 +1,5 @@
 from .network import Adam, QNetwork
-from .replay import ReplayBuffer, SumTree
+from .replay import ReplayBuffer
 from .training import (
     ScenarioSource,
     TrainedPolicy,
@@ -19,7 +19,6 @@ __all__ = [
     "Adam",
     "QNetwork",
     "ReplayBuffer",
-    "SumTree",
     "ScenarioSource",
     "TrainedPolicy",
     "TrainHyper",

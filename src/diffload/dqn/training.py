@@ -22,8 +22,9 @@ Training runs in float32: the network's weights and activations, Adam's
 moments, the stored replay features and the TD targets. On one core a
 float32 matrix product of the training step's shapes takes a little over
 half the time of a float64 one, and an Adam pass moves half the bytes.
-Three things stay float64: the sum tree's priorities, whose batched updates
-reproduce one-at-a-time updates bit for bit; the loss and the
+Three things stay float64: the replay priorities, whose running sum over
+every stored transition picks each drawn slot, so that a small priority is
+not lost to rounding in a large total; the loss and the
 importance-sampling weights; and the returned `TrainedPolicy`, whose
 weights are the float32 weights widened exactly. `greedy_solve` and policy
 files therefore compute in float64. Adam flushes subnormal moments to zero

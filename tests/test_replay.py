@@ -3,7 +3,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from diffload.dqn.replay import PRIORITY_EXPONENT, PRIORITY_OFFSET, ReplayBuffer, SumTree
+from diffload.dqn.replay import (PRIORITY_EXPONENT, PRIORITY_OFFSET, PriorityRing, ReplayBuffer,
+                                 Sample)
 
 
 def spearman(xs, ys):
@@ -38,33 +39,13 @@ def ids_of(sample, terminal):
     return sample.features[rows, 1].astype(int)
 
 
-def test_sumtree_total_tracks_updates():
-    tree = SumTree(8)
-    for i, w in enumerate([1.0, 2.0, 3.0]):
-        tree.add(w, (np.array([i]),))
-    leaves = tree.capacity - 1 + np.arange(3)
-    assert tree.total == pytest.approx(6.0)
-    tree.update(leaves[1:2], [5.0])
-    assert tree.total == pytest.approx(9.0)
-
-
-def test_sumtree_prefix_lookup():
-    tree = SumTree(4)
-    for i, w in enumerate([1.0, 2.0, 3.0, 4.0]):
-        tree.add(w, (np.array([i]),))
-    # cumulative boundaries: 1, 3, 6, 10
-    leaves, weights = tree.get_batch(np.array([0.5, 2.5, 5.0, 9.9]))
-    assert list(tree.columns[0][leaves - (tree.capacity - 1)]) == [0, 1, 2, 3]
-    assert list(weights) == [1.0, 2.0, 3.0, 4.0]
-
-
 def test_ring_eviction_drops_oldest():
-    tree = SumTree(4)
+    ring = PriorityRing(4)
     for i in range(6):
-        tree.add(1.0, (np.array([i]),))
-    stored = set(tree.columns[0])
+        ring.add((np.array([i]),))
+    stored = set(ring.columns[0])
     assert stored == {2, 3, 4, 5}
-    assert tree.size == 4
+    assert ring.size == 4
 
 
 def test_buffer_capacity_split_and_bound():
@@ -148,9 +129,7 @@ def test_inclusion_frequency_monotone_in_priority():
         push_one(buf, TERMINAL, i, terminal=True)
     # assign controlled, strictly increasing priorities via the update path
     priorities = np.linspace(0.01, 2.0, 64)
-    for leaf_offset, p in enumerate(priorities):
-        leaf = buf.regular.capacity - 1 + leaf_offset
-        buf.regular.update([leaf], [(p + PRIORITY_OFFSET) ** PRIORITY_EXPONENT])
+    buf.regular.priority[:64] = (priorities + PRIORITY_OFFSET) ** PRIORITY_EXPONENT
     counts = Counter()
     for _ in range(4000):
         sample = buf.sample(32, 2, rng)
@@ -180,56 +159,121 @@ def test_updated_priorities_shift_sampling_mass():
     assert hits > 1000  # far above the uniform expectation of ~150
 
 
-# -- bit-for-bit agreement with one walk per leaf ---------------------------------
 
-def walk_update(tree, leaf, weight):
-    """Reference: set one leaf and add its change to every ancestor on the way up."""
-    change = weight - tree[leaf]
-    tree[leaf] = weight
-    while leaf != 0:
-        leaf = (leaf - 1) // 2
-        tree[leaf] += change
 
+# -- bit-for-bit agreement with one item, slot or value at a time ----------------
 
 def random_weights(rng, n):
     """Priority-like weights spanning several magnitudes, so sums round."""
     return (np.abs(rng.normal(size=n)) * 10.0 ** rng.integers(-3, 3, size=n) + 2e-5) ** 0.7
 
 
+class GivenValues:
+    """Stands in for a generator whose `uniform` draws are the given values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.high = None
+
+    def uniform(self, low, high, size):
+        assert low == 0.0 and size == len(self.values)
+        self.high = high
+        return self.values
+
+
+def walk(priorities, value):
+    """Reference: step along the running sum to the first slot that reaches `value`."""
+    running = 0.0
+    for slot, priority in enumerate(priorities):
+        running += priority
+        if value <= running:
+            return slot
+    raise AssertionError("value past the total")
+
+
 @pytest.mark.parametrize("capacity", [1, 2, 13, 16, 50, 350])
-def test_batched_update_matches_walk_per_leaf_bitwise(capacity):
+def test_batched_descent_matches_walk_per_value(capacity):
+    """The draw's binary search over the running sum picks the slot a walk along it does."""
+    rng = np.random.default_rng(capacity + 100)
+    ring = PriorityRing(capacity)
+    ring.add((np.arange(capacity),))
+    ring.priority[:] = random_weights(rng, capacity)
+    prefix = [float(x) for x in np.cumsum(ring.priority)]
+    total = prefix[-1]
+    # Random values, plus the exact prefix sums, which belong to the earlier slot.
+    values = np.concatenate([rng.uniform(0.0, total, size=200), prefix, [0.0, total]])
+    draw = GivenValues(values)
+    slots, probs = ring.draw(len(values), draw)
+    assert draw.high == total
+    expected = [walk(ring.priority.tolist(), value) for value in values]
+    assert slots.tolist() == expected
+    assert probs.tobytes() == (ring.priority[expected] / total).tobytes()
+
+
+@pytest.mark.parametrize("stored", [1, 5, 12])
+def test_no_draw_lands_past_the_filled_slots(stored):
+    rng = np.random.default_rng(stored)
+    ring = PriorityRing(13)
+    ring.add((np.arange(stored),))
+    ring.priority[:stored] = random_weights(rng, stored)
+    ring.priority[stored:] = 5.0   # whatever the column holds past the filled slots
+    total = float(np.cumsum(ring.priority[:stored])[-1])
+    edges = [0.0, np.nextafter(total, 0.0), total]
+    slots, _ = ring.draw(len(edges), GivenValues(edges))
+    assert slots.tolist() == [0, stored - 1, stored - 1]
+    slots, _ = ring.draw(20_000, rng)
+    assert slots.max() < stored
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 13, 16, 50, 350])
+def test_slot_drawn_twice_keeps_its_last_priority(capacity):
     rng = np.random.default_rng(capacity)
-    tree = SumTree(capacity)
-    reference = tree.tree.copy()
+    buf = ReplayBuffer(capacity + 1, terminal_fraction=0.0)
+    assert buf.regular.capacity == capacity and buf.terminal.capacity == 1
+    buf.push(*tagged(REGULAR, np.arange(capacity)), terminal=False)
+    push_one(buf, TERMINAL, 0, terminal=True)
     for _ in range(40):
-        # Draws repeat leaves; above a power of two the leaves sit at two depths.
-        leaves = rng.integers(capacity - 1, 2 * capacity - 1, size=int(rng.integers(1, 40)))
-        weights = random_weights(rng, len(leaves))
-        tree.update(leaves, weights)
-        for leaf, weight in zip(leaves, weights):
-            walk_update(reference, int(leaf), float(weight))
-        assert tree.tree.tobytes() == reference.tobytes()
+        # Slots as a sample holds them: terminal rows first, drawn with replacement.
+        terminal, regular = int(rng.integers(1, 4)), int(rng.integers(1, 64))
+        slots = np.concatenate([np.zeros(terminal, dtype=np.int64),
+                                rng.integers(0, capacity, size=regular)])
+        mask = np.arange(len(slots)) < terminal
+        sample = Sample(features=None, actions=None, rewards=None, next_features=None,
+                        slots=slots, terminal_mask=mask, weights=None)
+        td = rng.normal(size=len(slots)) * 10.0 ** rng.integers(-3, 3)
+        weights = (np.abs(td) + PRIORITY_OFFSET) ** PRIORITY_EXPONENT
+        expected = [buf.terminal.priority.copy(), buf.regular.priority.copy()]
+        for k, slot in enumerate(slots):
+            expected[0 if mask[k] else 1][slot] = weights[k]
+        buf.update_priorities(sample, td)
+        assert buf.terminal.priority.tobytes() == expected[0].tobytes()
+        assert buf.regular.priority.tobytes() == expected[1].tobytes()
 
 
-def test_add_past_the_ring_matches_walk_per_leaf_bitwise():
+def test_add_past_the_ring_matches_a_loop_per_item():
     rng = np.random.default_rng(5)
-    tree = SumTree(13)
-    reference = tree.tree.copy()
-    slot = 0
+    ring = PriorityRing(13)
+    priority, items = np.zeros(13), np.zeros(13, dtype=np.int64)
+    slot = size = first = 0
     for count in (5, 9, 30, 1, 13):   # wraps the ring, once within a single add
-        weight = float(random_weights(rng, 1)[0])
-        tree.add(weight, (np.arange(count),))
-        for _ in range(count):
-            walk_update(reference, slot + tree.capacity - 1, weight)
-            slot = (slot + 1) % tree.capacity
-        assert tree.tree.tobytes() == reference.tobytes()
-    assert tree.size == 13 and tree.write == slot
+        weight = priority[:size].max() if size else 1.0
+        ring.add((np.arange(first, first + count),))
+        for item in range(first, first + count):
+            priority[slot], items[slot] = weight, item
+            slot, size = (slot + 1) % 13, min(size + 1, 13)
+        first += count
+        assert ring.priority.tobytes() == priority.tobytes()
+        assert ring.columns[0].tobytes() == items.tobytes()
+        assert ring.size == size and ring.write == slot
+        # Move the max before the next add.
+        touched = rng.integers(0, size, size=3)
+        ring.priority[touched] = priority[touched] = random_weights(rng, 3)
 
 
 def test_episode_push_matches_transition_pushes_bitwise():
     """One push per episode and partition equals one push per transition.
 
-    Priority updates between episodes move the max weight, and the small
+    Priority updates between episodes move the max priority, and the small
     capacity wraps both rings.
     """
     rng = np.random.default_rng(11)
@@ -239,48 +283,19 @@ def test_episode_push_matches_transition_pushes_bitwise():
         columns = (rng.normal(size=(n, 5)), rng.integers(0, 2, size=n), rng.normal(size=n),
                    rng.normal(size=(n, 5)))
         for terminal, rows in ((False, slice(0, n - 1)), (True, slice(n - 1, n))):
-            tree = whole.terminal if terminal else whole.regular
-            newest = tree.max_weight or 1.0
+            ring = whole.terminal if terminal else whole.regular
+            newest = ring.priority[:ring.size].max() if ring.size else 1.0
             whole.push(*(c[rows] for c in columns), terminal=terminal)
-            slots = (tree.write - np.arange(1, rows.stop - rows.start + 1)) % tree.capacity
-            assert (tree.tree[slots + tree.capacity - 1] == newest).all()
+            slots = (ring.write - np.arange(1, rows.stop - rows.start + 1)) % ring.capacity
+            assert (ring.priority[slots] == newest).all()
             for k in range(rows.start, rows.stop):
                 single.push(*(c[k:k + 1] for c in columns), terminal=terminal)
         if whole.ready(8, 1):
-            draw = np.random.default_rng(episode)
-            a, b = whole.sample(8, 1, draw), single.sample(8, 1, np.random.default_rng(episode))
+            a = whole.sample(8, 1, np.random.default_rng(episode))
+            b = single.sample(8, 1, np.random.default_rng(episode))
             td = rng.normal(size=8) * 10.0 ** rng.integers(-3, 2)
             whole.update_priorities(a, td)
             single.update_priorities(b, td)
         for x, y in ((whole.regular, single.regular), (whole.terminal, single.terminal)):
-            assert x.tree.tobytes() == y.tree.tobytes()
+            assert x.priority.tobytes() == y.priority.tobytes()
             assert all(p.tobytes() == q.tobytes() for p, q in zip(x.columns, y.columns))
-
-
-def walk_get(tree, value):
-    """Reference: descend from the root, going right past each left subtree's sum."""
-    idx = 0
-    while 2 * idx + 1 < len(tree):
-        left = 2 * idx + 1
-        if value <= tree[left]:
-            idx = left
-        else:
-            value -= tree[left]
-            idx = left + 1
-    return idx
-
-
-@pytest.mark.parametrize("capacity", [1, 2, 13, 16, 50, 350])
-def test_batched_descent_matches_walk_per_value(capacity):
-    rng = np.random.default_rng(capacity + 100)
-    tree = SumTree(capacity)
-    tree.add(1.0, (np.arange(capacity),))
-    leaves = np.arange(capacity) + capacity - 1
-    tree.update(leaves, random_weights(rng, capacity))
-    # Random values, plus the exact prefix sums where a descent must break ties left.
-    values = np.concatenate([rng.uniform(0.0, tree.total, size=200),
-                             np.cumsum(tree.tree[leaves]), [0.0, tree.total]])
-    found, weights = tree.get_batch(values)
-    expected = [walk_get(tree.tree, value) for value in values]
-    assert found.tolist() == expected
-    assert weights.tobytes() == tree.tree[expected].tobytes()
