@@ -18,33 +18,26 @@ import numpy as np
 
 from .costmodel import CostModel, SplitTable, decision_of, sequential_sum
 from .env import processing_order
-from .qoe import Decision, DecisionEntry, all_local_decision
+from .qoe import Decision, all_local_decision
 from .scenario import Scenario, ValidationError
 
 
-def _first_in_request_order(scenario: Scenario, count: int) -> set[int]:
-    return set(processing_order(scenario)[:count])
+def _first_in_request_order(scenario: Scenario) -> np.ndarray:
+    """(I,) grant mask of the first min(I, b_max) users in request order."""
+    grants = np.zeros(scenario.user_count, dtype=bool)
+    grants[processing_order(scenario)[:scenario.edge.b_max]] = True
+    return grants
 
 
 def baseline_all_offload_opt(scenario: Scenario) -> Decision:
     """Grant everyone up to capacity in request order, with optimized splits."""
-    m = min(scenario.user_count, scenario.edge.b_max)
-    chosen = _first_in_request_order(scenario, m)
-    table = SplitTable(scenario)
-    return table.decision([i in chosen for i in range(scenario.user_count)])
+    return SplitTable(scenario).decision(_first_in_request_order(scenario))
 
 
 def baseline_all_offload_fixed(scenario: Scenario) -> Decision:
     """Grant everyone up to capacity in request order, offloading the maximum."""
-    m = min(scenario.user_count, scenario.edge.b_max)
-    chosen = _first_in_request_order(scenario, m)
-    n_min, n_total = scenario.pai.n_min, scenario.pai.n_total
-    entries = [
-        DecisionEntry(granted=True, split=n_min) if i in chosen
-        else DecisionEntry(granted=False, split=n_total)
-        for i in range(scenario.user_count)
-    ]
-    return Decision(entries=entries)
+    grants = _first_in_request_order(scenario)
+    return decision_of(grants, np.where(grants, scenario.pai.n_min, scenario.pai.n_total))
 
 
 baseline_all_local = all_local_decision
@@ -225,10 +218,7 @@ def solve_bnb(scenario: Scenario, stats: BnbStats | None = None) -> Decision:
     assert best_grants is not None
     grants = np.zeros(n, dtype=bool)
     grants[order] = best_grants  # map back to user-id order
-    n_min, n_total = scenario.pai.n_min, scenario.pai.n_total
-    entries = [DecisionEntry(granted=bool(x), split=n_min if x else n_total)
-               for x in grants]
-    return Decision(entries=entries)
+    return decision_of(grants, np.where(grants, scenario.pai.n_min, scenario.pai.n_total))
 
 
 # ---------------------------------------------------------------------------

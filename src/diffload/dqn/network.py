@@ -1,7 +1,7 @@
 """Q-network with an explicit forward/backward pass, in the dtype of its weights.
 
-Architecture: each user slot contributes three continuous statics plus a
-status token that is looked up in a small embedding table (4 tokens, 3
+Architecture: each user slot contributes `env.N_STATICS` continuous statics
+plus a status token that is looked up in a small embedding table (4 tokens, 3
 dims); the per-user blocks are flattened, the global features appended, and
 the result run through three ReLU hidden layers into a 2-unit linear head
 (Q-values for deny/grant). Gradients are computed analytically; the test
@@ -19,12 +19,13 @@ import math
 
 import numpy as np
 
-from ..env import FEATURES_PER_USER, N_GLOBALS
+from ..env import FEATURES_PER_USER, N_GLOBALS, N_STATICS
 from ..qoe import ContractError
 
 VOCAB = 4
 EMBED_DIM = 3
 N_ACTIONS = 2
+USER_BLOCK = N_STATICS + EMBED_DIM  # one user's slice of the dense-stack input
 
 
 # Adam's moment decay rates and denominator offset, the standard values.
@@ -75,7 +76,7 @@ class QNetwork:
     @staticmethod
     def param_shapes(i_max: int, hidden: tuple[int, ...]) -> dict[str, tuple[int, ...]]:
         """Shape of every parameter of a network with this layout, by key."""
-        dims = [i_max * (3 + EMBED_DIM) + N_GLOBALS, *hidden, N_ACTIONS]
+        dims = [i_max * USER_BLOCK + N_GLOBALS, *hidden, N_ACTIONS]
         shapes = {"embed": (VOCAB, EMBED_DIM)}
         for layer, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
             shapes[f"W{layer}"] = (d_in, d_out)
@@ -85,7 +86,7 @@ class QNetwork:
     def _set_layout(self, i_max: int, hidden: tuple[int, ...]) -> None:
         self.i_max = i_max
         self.hidden = tuple(hidden)
-        self.input_dim = i_max * (3 + EMBED_DIM) + N_GLOBALS
+        self.input_dim = i_max * USER_BLOCK + N_GLOBALS
         self.n_layers = len(self.hidden) + 1
         self._work_arrays: dict = {}
 
@@ -117,15 +118,15 @@ class QNetwork:
         batch = features.shape[0]
         per_user = features[:, :self.i_max * FEATURES_PER_USER]
         per_user = per_user.reshape(batch, self.i_max, FEATURES_PER_USER)
-        statics = per_user[:, :, :3]
-        tokens = per_user[:, :, 3].astype(np.int64)
+        statics = per_user[:, :, :N_STATICS]
+        tokens = per_user[:, :, N_STATICS].astype(np.int64)
         if tokens.min() < 0 or tokens.max() >= VOCAB:
             raise ContractError(f"status tokens outside [0, {VOCAB})")
         x0 = np.empty((batch, self.input_dim), dtype=self.dtype) if x0 is None else x0
-        blocks = x0[:, :self.i_max * (3 + EMBED_DIM)].reshape(batch, self.i_max, 3 + EMBED_DIM)
-        blocks[:, :, :3] = statics
-        blocks[:, :, 3:] = self.params["embed"][tokens]
-        x0[:, self.i_max * (3 + EMBED_DIM):] = features[:, self.i_max * FEATURES_PER_USER:]
+        blocks = x0[:, :self.i_max * USER_BLOCK].reshape(batch, self.i_max, USER_BLOCK)
+        blocks[:, :, :N_STATICS] = statics
+        blocks[:, :, N_STATICS:] = self.params["embed"][tokens]
+        x0[:, self.i_max * USER_BLOCK:] = features[:, self.i_max * FEATURES_PER_USER:]
         return x0, tokens
 
     def dense(self, x0: np.ndarray, pre: list[np.ndarray] | None = None,
@@ -200,13 +201,13 @@ class QNetwork:
             if layer > 0:
                 delta = np.matmul(delta, self.params[f"W{layer}"].T, out=ws["delta"][layer - 1])
                 delta *= cache["pre"][layer - 1] > 0.0
-        # Push into the embedding table: the first i_max * 6 inputs interleave
-        # [statics(3), embed(3)] per user. bincount sums each token's rows in
-        # row order, as a sequential scatter-add would, in float64.
+        # Push into the embedding table: the first i_max * USER_BLOCK inputs
+        # interleave [statics, embedding] per user. bincount sums each token's
+        # rows in row order, as a sequential scatter-add would, in float64.
         d_input = np.matmul(delta, self.params["W0"].T, out=ws["d_input"])
         batch = d_input.shape[0]
-        d_blocks = d_input[:, :self.i_max * (3 + EMBED_DIM)]
-        d_embedded = d_blocks.reshape(batch * self.i_max, 3 + EMBED_DIM)[:, 3:]
+        d_blocks = d_input[:, :self.i_max * USER_BLOCK]
+        d_embedded = d_blocks.reshape(batch * self.i_max, USER_BLOCK)[:, N_STATICS:]
         tokens = cache["tokens"].reshape(-1)
         d_embed = np.stack([np.bincount(tokens, weights=d_embedded[:, dim], minlength=VOCAB)
                             for dim in range(EMBED_DIM)], axis=1)

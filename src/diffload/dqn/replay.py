@@ -86,10 +86,16 @@ class Sample:
 
 class ReplayBuffer:
     def __init__(self, capacity: int, terminal_fraction: float = 0.125):
-        term_cap = max(1, int(capacity * terminal_fraction))
+        term_cap, regular_cap = self.partition_sizes(capacity, terminal_fraction)
         self.capacity = capacity
         self.terminal = PriorityRing(term_cap)
-        self.regular = PriorityRing(capacity - term_cap)
+        self.regular = PriorityRing(regular_cap)
+
+    @staticmethod
+    def partition_sizes(capacity: int, terminal_fraction: float) -> tuple[int, int]:
+        """(terminal, regular) ring capacities of a buffer of `capacity` transitions."""
+        term_cap = max(1, int(capacity * terminal_fraction))
+        return term_cap, capacity - term_cap
 
     def __len__(self) -> int:
         return self.terminal.size + self.regular.size

@@ -50,6 +50,7 @@ import numpy as np
 
 from ..env import (
     DENIED,
+    N_STATICS,
     EnvState,
     EpisodeRecord,
     assign_rewards,
@@ -62,7 +63,7 @@ from ..env import (
 )
 from ..qoe import ContractError, Decision, all_local_decision
 from ..scenario import EdgeConfig, GeneratorConfig, PaiParams, Scenario, ValidationError, alpha_band, generate_scenario
-from .network import EMBED_DIM, N_ACTIONS, Adam, QNetwork
+from .network import N_ACTIONS, USER_BLOCK, Adam, QNetwork
 from .replay import ReplayBuffer
 
 SCOPES = ("general", "gpu", "specific")
@@ -98,6 +99,13 @@ class TrainHyper:
                 raise ValidationError(f"{name}: must be positive")
         if not 0 < self.terminal_quota < self.batch_size:
             raise ValidationError("terminal_quota must be in (0, batch_size)")
+        terminal, regular = ReplayBuffer.partition_sizes(
+            self.capacity, self.terminal_quota / self.batch_size)
+        if terminal < self.terminal_quota or regular < self.batch_size - self.terminal_quota:
+            raise ValidationError(
+                f"capacity: {self.capacity} splits into replay partitions of {terminal} "
+                f"terminal and {regular} other transitions, which cannot hold a batch's "
+                f"{self.terminal_quota} and {self.batch_size - self.terminal_quota} draws")
 
 
 def linear_schedule(start: float, end: float, t: int, horizon: int) -> float:
@@ -356,29 +364,29 @@ def greedy_rollout(policy: TrainedPolicy, scenario: Scenario) -> tuple[EnvState,
     """
     net = QNetwork.from_params(policy.i_max, policy.hidden, policy.params, copy=False)
     embed = net.params["embed"]
-    width = 3 + EMBED_DIM
     state = reset(scenario)
     users, i_max = state.user_count, policy.i_max
-    table = np.empty((2 * users, width), net.dtype)
-    table[:users, :3] = user_statics(state, policy.alpha_scale)
-    table[:users, 3:] = embed[list(state.statuses)]
+    table = np.empty((2 * users, USER_BLOCK), net.dtype)
+    table[:users, :N_STATICS] = user_statics(state, policy.alpha_scale)
+    table[:users, N_STATICS:] = embed[list(state.statuses)]
     table[users:] = table[:users]
     x = np.empty((1, net.input_dim), net.dtype)
-    blocks = x[0, :i_max * width].reshape(i_max, width)
-    blocks[users:, :3] = 0.0
-    blocks[users:, 3:] = embed[DENIED]
+    blocks = x[0, :i_max * USER_BLOCK].reshape(i_max, USER_BLOCK)
+    blocks[users:, :N_STATICS] = 0.0
+    blocks[users:, N_STATICS:] = embed[DENIED]
     q_values = np.empty((users, N_ACTIONS), net.dtype)
     steps = 0
     while not state.done:
         cursor = state.cursor
         blocks[:users] = table[cursor:cursor + users]
-        global_features(state, i_max, x[0, i_max * width:])
+        global_features(state, i_max, x[0, i_max * USER_BLOCK:])
         q = q_values[steps] = net.dense(x)[0]
         steps += 1
         state, done = step(state, greedy_action(q))
         if not done:
             for user in (cursor, state.cursor):
-                table[user, 3:] = table[user + users, 3:] = embed[state.statuses[user]]
+                row = embed[state.statuses[user]]
+                table[user, N_STATICS:] = table[user + users, N_STATICS:] = row
     return state, q_values[:steps]
 
 

@@ -6,6 +6,10 @@ user under the cursor. Transitions are deterministic. The episode ends when
 every request has been handled or the grant cap is reached, at which point
 all still-pending users are denied.
 
+A state (:class:`EnvState`) keeps each fact once: the scenario, its
+processing order, one status code per user and the cursor. The grant,
+deny and pending counts and every encoded feature are read off those.
+
 An episode is recorded as arrays (:class:`EpisodeRecord`), each state
 encoded straight into its row of one feature matrix.
 
@@ -32,31 +36,23 @@ GRANTED = 2
 DENIED = 3
 
 N_GLOBALS = 6
-FEATURES_PER_USER = 4  # alpha, per-step local latency, request slot, status token
+N_STATICS = 3  # alpha, per-step local latency, request slot
+FEATURES_PER_USER = N_STATICS + 1  # the statics, then the status token
 
 
 @dataclass(frozen=True)
 class EnvState:
-    """Complete environment state, in user processing order.
+    """Complete environment state: the scenario, its users' processing order
+    (``user_ids``), their status codes in that order, and the cursor.
 
-    Static per-user elements (alpha, per-step local latency, request slot)
-    never change during an episode; the status codes and the three counters
-    are the dynamic part. ``cursor`` indexes the in-progress user, -1 once
-    the episode has terminated.
+    ``cursor`` indexes the in-progress user, -1 once the episode has
+    terminated. Everything else is read off these four: the per-user statics
+    and edge parameters from the scenario, the counters from the statuses.
     """
 
-    alphas: tuple[float, ...]
-    step_latencies: tuple[float, ...]
-    request_slots: tuple[int, ...]
-    statuses: tuple[int, ...]
+    scenario: Scenario
     user_ids: tuple[int, ...]
-    b_max: int
-    k_hat_e: float  # edge step slope divided by GPU count
-    h_e: float
-    slots_per_interval: int
-    pending: int
-    granted: int
-    denied: int
+    statuses: tuple[int, ...]
     cursor: int
 
     @property
@@ -65,7 +61,23 @@ class EnvState:
 
     @property
     def user_count(self) -> int:
-        return len(self.alphas)
+        return len(self.user_ids)
+
+    @property
+    def b_max(self) -> int:
+        return self.scenario.edge.b_max
+
+    @property
+    def pending(self) -> int:
+        return self.statuses.count(PENDING)
+
+    @property
+    def granted(self) -> int:
+        return self.statuses.count(GRANTED)
+
+    @property
+    def denied(self) -> int:
+        return self.statuses.count(DENIED)
 
 
 def processing_order(scenario: Scenario) -> list[int]:
@@ -79,25 +91,8 @@ def reset(scenario: Scenario) -> EnvState:
         raise ValidationError("users: scenario has no users")
     if scenario.edge.b_max < 1:
         raise ValidationError("b_max: the decision environment needs a grant capacity >= 1")
-    order = processing_order(scenario)
-    users = [scenario.users[i] for i in order]
-    statuses = [PENDING] * len(users)
-    statuses[0] = IN_PROGRESS
-    return EnvState(
-        alphas=tuple(u.alpha for u in users),
-        step_latencies=tuple(step_latency_local(u.device) for u in users),
-        request_slots=tuple(u.request_slot for u in users),
-        statuses=tuple(statuses),
-        user_ids=tuple(u.id for u in users),
-        b_max=scenario.edge.b_max,
-        k_hat_e=scenario.edge.device.step_slope / scenario.edge.gpus,
-        h_e=scenario.edge.device.step_intercept,
-        slots_per_interval=scenario.edge.slots_per_interval,
-        pending=len(users) - 1,
-        granted=0,
-        denied=0,
-        cursor=0,
-    )
+    statuses = (IN_PROGRESS,) + (PENDING,) * (scenario.user_count - 1)
+    return EnvState(scenario, tuple(processing_order(scenario)), statuses, 0)
 
 
 def step(state: EnvState, action: int) -> tuple[EnvState, bool]:
@@ -108,52 +103,27 @@ def step(state: EnvState, action: int) -> tuple[EnvState, bool]:
         raise ContractError(f"action must be 0 or 1, got {action}")
     statuses = list(state.statuses)
     statuses[state.cursor] = GRANTED if action == 1 else DENIED
-    granted = state.granted + (1 if action == 1 else 0)
-    denied = state.denied + (0 if action == 1 else 1)
-    pending = state.pending
-
-    if granted == state.b_max:
+    if statuses.count(GRANTED) == state.b_max:
         # Grant cap reached: everything still pending is denied outright.
-        for i, s in enumerate(statuses):
-            if s == PENDING:
-                statuses[i] = DENIED
-                denied += 1
-                pending -= 1
-        cursor = -1
-    elif pending == 0:
-        cursor = -1
-    else:
-        cursor = statuses.index(PENDING)
+        statuses = [DENIED if s == PENDING else s for s in statuses]
+    cursor = statuses.index(PENDING) if PENDING in statuses else -1
+    if cursor >= 0:
         statuses[cursor] = IN_PROGRESS
-        pending -= 1
-
-    next_state = EnvState(
-        alphas=state.alphas,
-        step_latencies=state.step_latencies,
-        request_slots=state.request_slots,
-        statuses=tuple(statuses),
-        user_ids=state.user_ids,
-        b_max=state.b_max,
-        k_hat_e=state.k_hat_e,
-        h_e=state.h_e,
-        slots_per_interval=state.slots_per_interval,
-        pending=pending,
-        granted=granted,
-        denied=denied,
-        cursor=cursor,
-    )
-    return next_state, next_state.done
+    return EnvState(state.scenario, state.user_ids, tuple(statuses), cursor), cursor < 0
 
 
 def user_statics(state: EnvState, alpha_scale: float = 1.0) -> np.ndarray:
-    """The (I, 3) per-user statics in processing order, as the network reads them.
+    """The (I, N_STATICS) per-user statics in processing order, as the network reads them.
 
     Columns: alpha / alpha_scale, per-step local latency, and request slot /
     slots per interval, each normalized to keep inputs order-one.
     """
-    columns = np.array((state.alphas, state.step_latencies, state.request_slots), dtype=float)
+    users = [state.scenario.users[i] for i in state.user_ids]
+    columns = np.array(([u.alpha for u in users],
+                        [step_latency_local(u.device) for u in users],
+                        [u.request_slot for u in users]), dtype=float)
     columns[0] /= alpha_scale
-    columns[2] /= state.slots_per_interval
+    columns[2] /= state.scenario.edge.slots_per_interval
     return columns.T
 
 
@@ -172,9 +142,10 @@ def encode(state: EnvState, i_max: int, alpha_scale: float = 1.0) -> np.ndarray:
 
 def global_features(state: EnvState, i_max: int, out: np.ndarray) -> None:
     """Write the N_GLOBALS global features of `state` into `out`."""
-    out[0] = state.b_max / i_max
-    out[1] = state.k_hat_e
-    out[2] = state.h_e
+    edge = state.scenario.edge
+    out[0] = edge.b_max / i_max
+    out[1] = edge.device.step_slope / edge.gpus
+    out[2] = edge.device.step_intercept
     out[3] = state.pending / i_max
     out[4] = state.granted / i_max
     out[5] = state.denied / i_max
@@ -187,7 +158,7 @@ def _local_rows(state: EnvState, alpha_scale: float) -> np.ndarray:
     rows once and `_encode_local` writes each state's status column.
     """
     local = np.empty((state.user_count, FEATURES_PER_USER))
-    local[:, :3] = user_statics(state, alpha_scale)
+    local[:, :N_STATICS] = user_statics(state, alpha_scale)
     return local
 
 
@@ -198,10 +169,10 @@ def _encode_local(state: EnvState, local: np.ndarray, i_max: int, out: np.ndarra
     if n > i_max:
         raise ContractError(f"state has {n} users, encoder capacity is {i_max}")
     rows = out[:i_max * FEATURES_PER_USER].reshape(i_max, FEATURES_PER_USER)
-    local[:, 3] = state.statuses
+    local[:, N_STATICS] = state.statuses
     start = max(state.cursor, 0)
     np.concatenate((local[start:], local[:start]), out=rows[:n])
-    rows[n:, 3] = DENIED  # filler slots read as already-denied
+    rows[n:, N_STATICS] = DENIED  # filler slots read as already-denied
     global_features(state, i_max, out[i_max * FEATURES_PER_USER:])
 
 

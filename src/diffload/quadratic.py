@@ -18,14 +18,12 @@ coupling of user i is the part of its latency that grows by one share per
 granted user. No solver uses it; branch and bound reads the fixed-split
 values from the cost model directly. The form stays the cross-check of the
 direct scalar objective (acceptance criterion 2), since it sums the model
-in a different shape, and an export format.
+in a different shape.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -89,23 +87,3 @@ def eval_quadratic(qf: QuadraticForm, grants) -> float:
     shares = int(granted.sum()) - (1 if qf.absorbed else 0)
     return float(picked - shares * qf.coupling[granted].sum())
 
-
-def export_quadratic(qf: QuadraticForm, path: str | Path) -> None:
-    """Write the form as JSON: the dense linear part, and A's nonzero entries
-    [i2, j2, i1, j1, value] in row-major order of the (I, 2, I, 2) tensor."""
-    couplings = (-qf.coupling if qf.absorbed else qf.coupling).tolist()
-    entries = []
-    for i2 in range(len(couplings)):
-        row = [[i2, GRANT, i1, GRANT, value] for i1, value in enumerate(couplings)]
-        if qf.absorbed:
-            row[i2][4] = float(qf.linear[i2, GRANT])
-            row.insert(0, [i2, DENY, i2, DENY, float(qf.linear[i2, DENY])])
-        entries += [entry for entry in row if entry[4] != 0.0]
-    obj = {
-        "fixed_split": qf.fixed_split,
-        "absorbed": qf.absorbed,
-        "handlings": ["deny", "grant"],
-        "linear": (np.zeros_like(qf.linear) if qf.absorbed else qf.linear).tolist(),
-        "quadratic": entries,
-    }
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n")

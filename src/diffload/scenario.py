@@ -19,7 +19,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -327,10 +327,6 @@ def generate_scenario(seed: int, cfg: GeneratorConfig, edge: EdgeConfig,
 # with all latencies in seconds, sizes in bits, bandwidth in Hz.
 # ---------------------------------------------------------------------------
 
-def _device_to_dict(d: DeviceProfile) -> dict:
-    return {"name": d.name, "step_slope": d.step_slope, "step_intercept": d.step_intercept}
-
-
 def _device_from_dict(obj: dict, where: str) -> DeviceProfile:
     try:
         return DeviceProfile(str(obj["name"]), float(obj["step_slope"]),
@@ -340,39 +336,8 @@ def _device_from_dict(obj: dict, where: str) -> DeviceProfile:
 
 
 def scenario_to_dict(s: Scenario) -> dict:
-    return {
-        "seed": s.seed,
-        "users": [
-            {
-                "id": u.id,
-                "device": _device_to_dict(u.device),
-                "alpha": u.alpha,
-                "request_slot": u.request_slot,
-                "prompt_bits": u.prompt_bits,
-                "intermediate_bits": u.intermediate_bits,
-                "alpha_clamped": u.alpha_clamped,
-            }
-            for u in s.users
-        ],
-        "edge": {
-            "gpus": s.edge.gpus,
-            "device": _device_to_dict(s.edge.device),
-            "b_max": s.edge.b_max,
-            "slots_per_interval": s.edge.slots_per_interval,
-            "slot_duration": s.edge.slot_duration,
-            "bandwidth_hz": s.edge.bandwidth_hz,
-            "spectral_efficiency": s.edge.spectral_efficiency,
-        },
-        "pai": {
-            "n_total": s.pai.n_total,
-            "n_min": s.pai.n_min,
-            "a_f": s.pai.a_f,
-            "b_f": s.pai.b_f,
-            "kappa_pai": s.pai.kappa_pai,
-            "sigma_a": s.pai.sigma_a,
-            "sigma_b": s.pai.sigma_b,
-        },
-    }
+    # The seed leads, as it always has in scenario files.
+    return {"seed": s.seed, **asdict(s)}
 
 
 def _integer(value, name: str) -> int:

@@ -180,18 +180,9 @@ def test_encode_invariant_under_rotation():
     shift = 2
     rotate = lambda t: tuple(t[(i + shift) % 6] for i in range(6))
     rotated = EnvState(
-        alphas=rotate(base.alphas),
-        step_latencies=rotate(base.step_latencies),
-        request_slots=rotate(base.request_slots),
-        statuses=rotate(base.statuses),
+        scenario=base.scenario,
         user_ids=rotate(base.user_ids),
-        b_max=base.b_max,
-        k_hat_e=base.k_hat_e,
-        h_e=base.h_e,
-        slots_per_interval=base.slots_per_interval,
-        pending=base.pending,
-        granted=base.granted,
-        denied=base.denied,
+        statuses=rotate(base.statuses),
         cursor=(base.cursor - shift) % 6,
     )
     assert np.array_equal(encode(base, 8), encode(rotated, 8))

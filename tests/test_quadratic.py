@@ -1,11 +1,10 @@
-import json
 from itertools import product
 
 import numpy as np
 import pytest
 
 from diffload.qoe import ContractError, Decision, DecisionEntry, objective
-from diffload.quadratic import DENY, GRANT, absorb_linear, build_quadratic, eval_quadratic, export_quadratic
+from diffload.quadratic import DENY, GRANT, absorb_linear, build_quadratic, eval_quadratic
 from diffload.scenario import GeneratorConfig, default_edge, generate_scenario
 
 
@@ -28,24 +27,21 @@ def dense_quadratic(qf):
     return quad
 
 
-def exported_entries(qf, path):
-    export_quadratic(qf, path)
-    return json.loads(path.read_text())["quadratic"]
-
-
-def test_single_user_has_one_quadratic_entry(tmp_path):
+def test_single_user_has_one_quadratic_entry():
     scenario = generate_scenario(1, GeneratorConfig(user_count=1), default_edge())
     qf = build_quadratic(scenario, 80)
     assert qf.coupling.shape == (1,) and qf.coupling[0] != 0.0
-    assert exported_entries(qf, tmp_path / "qf.json") == [[0, GRANT, 0, GRANT, qf.coupling[0]]]
+    dense = dense_quadratic(qf)
+    assert np.argwhere(dense != 0.0).tolist() == [[0, GRANT, 0, GRANT]]
+    assert dense[0, GRANT, 0, GRANT] == qf.coupling[0]
 
 
-def test_deny_couplings_are_zero(tmp_path):
+def test_deny_couplings_are_zero():
     scenario = generate_scenario(2, GeneratorConfig(user_count=5), default_edge())
     qf = build_quadratic(scenario, 120)
-    entries = exported_entries(qf, tmp_path / "qf.json")
+    entries = np.argwhere(dense_quadratic(qf) != 0.0)
     assert len(entries) == 25
-    assert all(j2 == GRANT and j1 == GRANT for _, j2, _, j1, _ in entries)
+    assert all(j2 == GRANT and j1 == GRANT for _, j2, _, j1 in entries)
 
 
 def test_all_deny_evaluates_to_linear_deny_sum():
@@ -116,21 +112,3 @@ def test_build_rejects_split_outside_domain():
     with pytest.raises(ContractError):
         build_quadratic(scenario, 201)
 
-
-def test_export_roundtrip_values(tmp_path):
-    scenario = generate_scenario(9, GeneratorConfig(user_count=3), default_edge())
-    qf = build_quadratic(scenario, 90)
-    for form in (qf, absorb_linear(qf)):
-        path = tmp_path / "qf.json"
-        export_quadratic(form, path)
-        obj = json.loads(path.read_text())
-        assert obj["fixed_split"] == 90 and obj["absorbed"] == form.absorbed
-        linear = np.asarray(obj["linear"])
-        assert np.array_equal(linear, np.zeros((3, 2)) if form.absorbed else qf.linear)
-        dense = dense_quadratic(form)
-        # The nonzero entries, in the row-major order of the dense tensor.
-        assert [entry[:4] for entry in obj["quadratic"]] == np.argwhere(dense != 0.0).tolist()
-        rebuilt = np.zeros_like(dense)
-        for i2, j2, i1, j1, v in obj["quadratic"]:
-            rebuilt[i2, j2, i1, j1] = v
-        assert np.array_equal(rebuilt, dense)

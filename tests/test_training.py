@@ -262,6 +262,14 @@ def test_train_rejects_zero_budget():
         TrainHyper(episodes=0)
 
 
+@pytest.mark.parametrize("capacity", [1, 100])
+def test_train_rejects_a_capacity_whose_partitions_cannot_fill_a_batch(capacity):
+    # At the default 1:7 split, capacity 100 keeps 12 terminal slots for a
+    # quota of 16, and capacity 1 leaves the regular partition no slot.
+    with pytest.raises(ValidationError, match="^capacity: "):
+        TrainHyper(capacity=capacity)
+
+
 def test_scenario_source_scopes():
     general = make_source(scope="general", users=8, seed=2, user_range=(3, 8))
     s1, s2 = general.scenario_for_episode(0), general.scenario_for_episode(1)
