@@ -34,10 +34,15 @@ def baseline_all_offload_opt(scenario: Scenario) -> Decision:
     return SplitTable(scenario).decision(_first_in_request_order(scenario))
 
 
+def _min_split_decision(scenario: Scenario, grants: np.ndarray) -> Decision:
+    """Granted users at the minimum split, everyone else fully local."""
+    pai = scenario.pai
+    return decision_of(grants, np.where(grants, pai.n_min, pai.n_total), pai.n_total)
+
+
 def baseline_all_offload_fixed(scenario: Scenario) -> Decision:
     """Grant everyone up to capacity in request order, offloading the maximum."""
-    grants = _first_in_request_order(scenario)
-    return decision_of(grants, np.where(grants, scenario.pai.n_min, scenario.pai.n_total))
+    return _min_split_decision(scenario, _first_in_request_order(scenario))
 
 
 baseline_all_local = all_local_decision
@@ -71,14 +76,22 @@ class GaConfig:
 def repair(population: np.ndarray, cap: int, rng: np.random.Generator) -> np.ndarray:
     """Each row of a (P, I) bool matrix with more than `cap` grants keeps `cap` of
     them, a uniformly random subset; other rows are returned as they are."""
-    over = np.count_nonzero(population, axis=1) > cap
+    return _repair(population, np.count_nonzero(population, axis=1), cap, rng)
+
+
+def _repair(population: np.ndarray, counts: np.ndarray, cap: int,
+            rng: np.random.Generator) -> np.ndarray:
+    """`repair`, given each row's (P,) grant count."""
+    over = counts > cap
     if not over.any():
         return population
     rows = population[over]
-    # Ranking uniform keys over the granted bits picks which `cap` survive.
+    # The `cap` smallest uniform keys over the granted bits survive. A row over
+    # the cap has more than `cap` finite keys, so exactly `cap` grants remain.
     keys = np.where(rows, rng.random(rows.shape), np.inf)
     kept = np.zeros_like(rows)
-    np.put_along_axis(kept, np.argsort(keys, axis=1)[:, :cap], True, axis=1)
+    if cap:
+        kept[np.arange(len(rows))[:, None], np.argpartition(keys, cap - 1, axis=1)[:, :cap]] = True
     population = population.copy()
     population[over] = kept
     return population
@@ -91,9 +104,11 @@ def solve_ga(scenario: Scenario, cfg: GaConfig | None = None,
 
     The population is a (population, I) bool matrix bred one generation at
     a time: elites, tournament winners, uniform crossover and bit-flip
-    mutation are drawn for every child at once, and one ``row_values``
-    call scores the whole generation. When given, `history` collects the
-    best-ever fitness after each generation (non-decreasing thanks to
+    mutation are drawn for every child at once, with one ``rng.random``
+    call for the crossover flags and both per-bit matrices. Each row's grant
+    count is taken once, shared by `repair` and by the one ``row_values``
+    call that scores the whole generation. When given, `history` collects
+    the best-ever fitness after each generation (non-decreasing thanks to
     elitism).
     """
     cfg = cfg if cfg is not None else GaConfig()
@@ -102,29 +117,42 @@ def solve_ga(scenario: Scenario, cfg: GaConfig | None = None,
     n = scenario.user_count
     if n == 0:
         return baseline_all_local(scenario)
-    mutation = 1.0 / n
     table = SplitTable(scenario)
-    size = cfg.population
+    cap, size = table.cap, cfg.population
+    children = size - min(ELITISM, size)
+    # Per-bit thresholds: a child's bit comes from its first parent below 0.5
+    # and flips below 1 / user count.
+    bit_thresholds = np.array([0.5, 1.0 / n])[:, None, None]
+    # Flat index of each (parent, child) tournament's first contender.
+    first_contender = np.arange(2 * children) * TOURNAMENT
 
-    pop = repair(rng.random((size, n)) < 0.5, table.cap, rng)
-    fits = table.row_values(pop)
+    pop = rng.random((size, n)) < 0.5
+    counts = np.count_nonzero(pop, axis=1)
+    pop, counts = _repair(pop, counts, cap, rng), np.minimum(counts, cap)
+    fits = table.row_values(pop, counts)
     best_idx = int(np.argmax(fits))
     best, best_fit = pop[best_idx], fits[best_idx]
 
     for _ in range(cfg.iterations):
         # Stable on -fitness: equal fitness keeps population order, as sorted() does.
         elites = np.argsort(-fits, kind="stable")[:ELITISM]
-        children = size - len(elites)
         contenders = rng.integers(0, size, size=(2, children, TOURNAMENT))
         # argmax takes the first of equal contenders, as max() does.
-        winners = np.take_along_axis(
-            contenders, np.argmax(fits[contenders], axis=2)[..., None], axis=2)[..., 0]
-        p1, p2 = pop[winners[0]], pop[winners[1]]
-        crossed = rng.random(children) < CROSSOVER_PROB
-        from_p1 = ~crossed[:, None] | (rng.random((children, n)) < 0.5)
-        offspring = np.where(from_p1, p1, p2) ^ (rng.random((children, n)) < mutation)
-        pop = np.concatenate([pop[elites], repair(offspring, table.cap, rng)])
-        fits = table.row_values(pop)
+        pick = np.argmax(fits[contenders], axis=2)
+        parents = pop[contenders.ravel()[first_contender + pick.ravel()]].reshape(2, children, n)
+        draws = rng.random(children * (1 + 2 * n))
+        crossed = draws[:children] < CROSSOVER_PROB
+        from_p1, flips = draws[children:].reshape(2, children, n) < bit_thresholds
+        from_p1 |= ~crossed[:, None]
+        # np.where(from_p1, p1, p2) by bit operations, which numpy runs far faster.
+        p1, p2 = parents
+        offspring = (p1 ^ p2) & from_p1
+        offspring ^= p2
+        offspring ^= flips
+        child_counts = np.count_nonzero(offspring, axis=1)
+        pop = np.concatenate([pop[elites], _repair(offspring, child_counts, cap, rng)])
+        counts = np.concatenate([counts[elites], np.minimum(child_counts, cap)])
+        fits = table.row_values(pop, counts)
         gen_best = int(np.argmax(fits))
         if fits[gen_best] > best_fit:
             best, best_fit = pop[gen_best], fits[gen_best]
@@ -157,10 +185,19 @@ def _fixed_split_tables(scenario: Scenario, split: int):
 def solve_bnb(scenario: Scenario, stats: BnbStats | None = None) -> Decision:
     """Exact maximizer of the fixed-split assignment via depth-first search.
 
-    Splits are pinned at n_min for granted users. The bound at a node with g
-    committed grants evaluates committed grants at m = max(g, 1) and lets each
-    undecided user take the better of denial and a grant at m = g + 1; both
-    are optimistic because the granted value is non-increasing in m.
+    Splits are pinned at n_min for granted users. Users are decided in
+    processing order, a grant before a denial. A node's committed value sums
+    its decided users left to right, granted users at the node's grant count
+    g (at g = 0 no one is granted). A denial child adds its user's deny value
+    to its parent's committed value; a grant child changes g and so re-sums
+    its prefix. Both give the same bits as summing the prefix afresh.
+
+    The bound of a node adds to its committed value each undecided user's
+    better of denial and a grant at g + 1 (denial once g is at the cap). It
+    is optimistic because the granted value does not increase with the grant
+    count. Every child counts as a node in `stats`, but the search descends
+    only into a child whose bound beats the incumbent (Land & Doig 1960), so
+    a pruned child is checked in its parent and costs no call.
     """
     stats = stats if stats is not None else BnbStats()
     n = scenario.user_count
@@ -168,57 +205,54 @@ def solve_bnb(scenario: Scenario, stats: BnbStats | None = None) -> Decision:
     deny, grant, cap = _fixed_split_tables(scenario, scenario.pai.n_min)
     deny, grant = deny[order], grant[order]
 
-    # Suffix of max(deny, grant at m) for the optimistic completion, per m
-    # (column 0 unused), each summed from the last user back.
-    suffix_opt = np.zeros((n + 1, cap + 1))
-    suffix_opt[:n, 1:] = np.cumsum(np.maximum(deny[:, None], grant[:, 1:])[::-1], axis=0)[::-1]
-    suffix_deny = np.zeros(n + 1)
-    suffix_deny[:n] = np.cumsum(deny[::-1])[::-1]
+    # tails[depth][g]: the optimistic completion of users depth.. at g grants,
+    # each column summed from the last user back. Column g < cap lets every
+    # user take max(deny, grant at g + 1); column cap denies everyone.
+    tails = np.zeros((n + 1, cap + 1))
+    tails[:n, :cap] = np.cumsum(np.maximum(deny[:, None], grant[:, 1:])[::-1], axis=0)[::-1]
+    tails[:n, cap] = np.cumsum(deny[::-1])[::-1]
 
     # The search reads single entries, which Python lists serve far faster
     # than numpy scalars; the float arithmetic is the same.
-    d, g = deny.tolist(), grant.tolist()
-    suffix_opt, suffix_deny = suffix_opt.tolist(), suffix_deny.tolist()
+    d, g, tails = deny.tolist(), grant.tolist(), tails.tolist()
 
     best_value = float("-inf")
     best_grants: list[bool] | None = None
     chosen = [False] * n
+    nodes = 1  # the root, whose bound always beats -inf
 
-    def dfs(depth: int, grants_so_far: int) -> None:
-        nonlocal best_value, best_grants
-        stats.nodes += 1
-        if depth == n:
-            m = grants_so_far
-            value = sum(g[i][m] if chosen[i] else d[i] for i in range(n))
-            if value > best_value:
-                best_value = value
-                best_grants = chosen.copy()
-            return
-        # Optimistic bound: committed grants at their current (minimal) count,
-        # undecided users at their individually best handling.
-        if grants_so_far > 0:
-            committed = sum(g[i][grants_so_far] if chosen[i] else d[i]
-                            for i in range(depth))
-        else:
-            committed = sum(d[i] for i in range(depth) if not chosen[i])
-        if grants_so_far < cap:
-            tail = suffix_opt[depth][grants_so_far + 1]
-        else:
-            tail = suffix_deny[depth]
-        if committed + tail <= best_value:
-            return
-        if grants_so_far < cap:
+    def expand(depth: int, count: int, committed: float) -> None:
+        """Visit both children of a node at `depth` with `count` grants."""
+        nonlocal best_value, best_grants, nodes
+        child = depth + 1
+        if count < cap:
             chosen[depth] = True
-            dfs(depth + 1, grants_so_far + 1)
-        chosen[depth] = False
-        dfs(depth + 1, grants_so_far)
+            value = sum(g[i][count + 1] if chosen[i] else d[i] for i in range(child))
+            nodes += 1
+            if child == n:
+                if value > best_value:
+                    best_value, best_grants = value, chosen.copy()
+            elif value + tails[child][count + 1] > best_value:
+                expand(child, count + 1, value)
+            chosen[depth] = False
+        value = committed + d[depth]
+        nodes += 1
+        if child == n:
+            if value > best_value:
+                best_value, best_grants = value, chosen.copy()
+        elif value + tails[child][count] > best_value:
+            expand(child, count, value)
 
-    dfs(0, 0)
+    if n:
+        expand(0, 0, 0.0)
+    else:
+        best_value, best_grants = 0.0, []
+    stats.nodes += nodes
     stats.incumbent = best_value
     assert best_grants is not None
     grants = np.zeros(n, dtype=bool)
     grants[order] = best_grants  # map back to user-id order
-    return decision_of(grants, np.where(grants, scenario.pai.n_min, scenario.pai.n_total))
+    return _min_split_decision(scenario, grants)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +347,7 @@ def solve_count_oracle(scenario: Scenario) -> Decision:
         ranked = np.argsort(-gains, kind="stable")[:best]
         grants[users[ranked]] = True
         chosen_splits[users[ranked]] = splits[ranked, best - 1]
-    return decision_of(grants, chosen_splits)
+    return decision_of(grants, chosen_splits, scenario.pai.n_total)
 
 
 EXHAUSTIVE_LIMIT = 15

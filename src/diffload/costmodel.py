@@ -204,16 +204,17 @@ class SplitTable:
         else:
             self._check_count(m)
             splits = np.where(grants, self.splits[:, m - 1], n_total)
-        return decision_of(grants, splits)
+        return decision_of(grants, splits, n_total)
 
     def value(self, grants) -> float:
         return float(self.row_values([grants])[0])
 
-    def row_values(self, grants) -> np.ndarray:
+    def row_values(self, grants, counts: np.ndarray | None = None) -> np.ndarray:
         """(P,) objective of each row of a (P, I) grant matrix, each equal to ``value``
-        of that row: every row is summed left to right in user order."""
+        of that row: every row is summed left to right in user order. A caller
+        that already holds each row's grant count may pass it as `counts`."""
         grants = np.asarray(grants, dtype=bool)
-        m = np.count_nonzero(grants, axis=1)
+        m = np.count_nonzero(grants, axis=1) if counts is None else counts
         if m.max() > self.cap:
             raise ContractError(f"grant count {m.max()} above the cap {self.cap}")
         if grants.shape[1] == 0:
@@ -224,9 +225,19 @@ class SplitTable:
         return np.cumsum(per_user, axis=1)[:, -1]
 
 
-def decision_of(grants: np.ndarray, splits: np.ndarray) -> Decision:
-    """The decision with each user's grant flag and split, from two (I,) arrays."""
-    return Decision(entries=list(map(DecisionEntry, grants.tolist(), splits.tolist())))
+@lru_cache(maxsize=8)
+def _decision_entries(n_total: int) -> tuple[DecisionEntry, ...]:
+    """Every entry with a split in 0..n_total, the one for (granted, split) at
+    2 * split + granted; entries are frozen, so decisions share them."""
+    return tuple(DecisionEntry(granted, split)
+                 for split in range(n_total + 1) for granted in (False, True))
+
+
+def decision_of(grants: np.ndarray, splits: np.ndarray, n_total: int) -> Decision:
+    """The decision with each user's grant flag and split, from two (I,) arrays
+    of splits in 0..n_total."""
+    keys = 2 * splits + grants
+    return Decision(entries=list(map(_decision_entries(n_total).__getitem__, keys.tolist())))
 
 
 def sequential_sum(values: np.ndarray) -> float:

@@ -1,3 +1,4 @@
+import hashlib
 import time
 from dataclasses import replace
 
@@ -25,6 +26,10 @@ from diffload.scenario import DeviceProfile, GeneratorConfig, default_edge, gene
 def make_scenario(seed=0, users=8, b_max=16, gpus=8):
     return generate_scenario(seed, GeneratorConfig(user_count=users),
                              default_edge(gpus=gpus, b_max=b_max))
+
+
+def denied_users(decision):
+    return {i for i, e in enumerate(decision.entries) if not e.granted}
 
 
 def brute_force_fixed_split(scenario, split):
@@ -131,6 +136,26 @@ def test_ga_finds_optimum_on_small_instance():
     assert ga == pytest.approx(exact, rel=1e-9)
 
 
+def test_ga_search_is_pinned_on_desk_scenarios():
+    # The best-fitness history (as the sha256 of its repr) and the denied users
+    # of the default GaConfig on 20-user scenarios with a cap of 8, where most
+    # children need repair.
+    expected = {
+        5200: ("6e70d5a34eb8ee88ce0b72c52a94a6d82cc6c44fd154196dc05c01862f8a5b72",
+               {1, 5, 6, 7, 8, 9, 11, 13, 14, 16, 17, 19}),
+        5201: ("4ccef5ffb973ec4194dad654df852396206f280d5b9293fbb821b729bd13d098",
+               {3, 4, 5, 6, 7, 8, 12, 14, 16, 17, 18, 19}),
+        5202: ("0c0d8d7061757d1d2d7520fb5eb05b88b42c30e2a881dd702b5d98011dff8496",
+               {0, 1, 2, 4, 8, 11, 12, 13, 14, 16, 17, 19}),
+    }
+    for seed, (digest, denied) in expected.items():
+        scenario = make_scenario(seed=seed, users=20, b_max=8, gpus=8)
+        history: list = []
+        decision = solve_ga(scenario, rng=seed, history=history)
+        assert hashlib.sha256(repr(history).encode()).hexdigest() == digest, seed
+        assert denied_users(decision) == denied, seed
+
+
 def test_repair_keeps_a_uniform_subset_of_cap_grants():
     rng = np.random.default_rng(40)
     population = rng.random((4000, 6)) < 0.6
@@ -190,20 +215,28 @@ def test_bnb_node_count_grows_with_users():
 
 
 def test_bnb_search_is_pinned_on_desk_scenarios():
-    # Nodes, incumbent and grants as the search over numpy arrays gave them.
+    # Nodes, incumbent and denied users as the depth-first search has always
+    # given them, keyed by (seed, users, b_max): five 20-user desk scenarios,
+    # then a cap of one, a cap equal to the user count, a single user, and a
+    # cap of six reached at the twelfth user in processing order.
     expected = {
-        5000: (6623, 55.64651283035301, {5, 9, 14, 16}),
-        5001: (7948, 55.28536679064953, {5, 11, 13, 19}),
-        5002: (11540, 27.379200706726884, {3, 6, 11, 18}),
-        5003: (5722, -38.316010563514936, {8, 14, 18, 19}),
-        5004: (10920, 141.07591485086527, {10, 11, 12, 15}),
+        (5000, 20, 16): (6623, 55.64651283035301, {5, 9, 14, 16}),
+        (5001, 20, 16): (7948, 55.28536679064953, {5, 11, 13, 19}),
+        (5002, 20, 16): (11540, 27.379200706726884, {3, 6, 11, 18}),
+        (5003, 20, 16): (5722, -38.316010563514936, {8, 14, 18, 19}),
+        (5004, 20, 16): (10920, 141.07591485086527, {10, 11, 12, 15}),
+        (5100, 20, 1): (90, -247.5846776525045, set(range(20)) - {7}),
+        (5101, 12, 12): (163, 98.6937305605877, {8}),
+        (5102, 1, 16): (3, 12.8901538387994, set()),
+        (5104, 20, 6): (8904, -112.73676252552957,
+                        {0, 1, 2, 4, 6, 7, 8, 10, 11, 12, 13, 15, 16, 18}),
     }
-    for seed, (nodes, incumbent, denied) in expected.items():
-        scenario = make_scenario(seed=seed, users=20, b_max=16, gpus=8)
+    for (seed, users, b_max), (nodes, incumbent, denied) in expected.items():
+        scenario = make_scenario(seed=seed, users=users, b_max=b_max, gpus=8)
         stats = BnbStats()
         decision = solve_bnb(scenario, stats=stats)
-        assert (stats.nodes, stats.incumbent) == (nodes, incumbent)
-        assert {i for i, e in enumerate(decision.entries) if not e.granted} == denied
+        assert (stats.nodes, stats.incumbent) == (nodes, incumbent), seed
+        assert denied_users(decision) == denied, seed
 
 
 # -- exact oracles ------------------------------------------------------------------

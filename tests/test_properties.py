@@ -4,11 +4,12 @@ Scenarios come from seeded numpy draws that lean on the edges: no users,
 one user, no edge capacity, capacity equal to the user count, and a single
 edge GPU. Every solver's decision must be feasible with a finite objective,
 none may beat the count oracle, exhaustive enumeration must equal it, and
-branch and bound must reach the fixed-split optimum. The count oracle is
-also checked against exhaustive enumeration on scenarios drawn by
-hypothesis, and against the per-m sort reference on scenarios large enough
-for its pre-pass to drop users, with derandomized draws so that every run
-sees the same ones.
+branch and bound must reach the fixed-split optimum. On scenarios drawn
+by hypothesis, some with copied users, the count oracle is also checked
+against exhaustive enumeration and branch and bound against the
+fixed-split optimum; on scenarios large enough for its pre-pass to drop
+users, the oracle is checked against the per-m sort reference. The draws
+are derandomized, so that every run sees the same ones.
 """
 
 import math
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 from diffload.baselines import (
     PRUNE_MIN_CELLS,
+    BnbStats,
     GaConfig,
     SplitTable,
     baseline_all_local,
@@ -138,6 +140,18 @@ def test_count_oracle_reaches_the_exhaustive_objective(scenario):
     oracle = objective(scenario, solve_count_oracle(scenario))
     exhaustive = objective(scenario, solve_exhaustive(scenario))
     assert close_or_below(oracle, exhaustive) and close_or_below(exhaustive, oracle)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(scenarios_with_copies())
+def test_bnb_reaches_the_fixed_split_optimum_with_copied_users(scenario):
+    # Copied users have equal bounds, so the search meets bounds equal to the
+    # incumbent, which it prunes.
+    stats = BnbStats()
+    value = objective(scenario, solve_bnb(scenario, stats=stats))
+    fixed = fixed_split_optimum(scenario)
+    assert close_or_below(value, fixed) and close_or_below(fixed, value)
+    assert close_or_below(value, stats.incumbent) and close_or_below(stats.incumbent, value)
 
 
 @st.composite
