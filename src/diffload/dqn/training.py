@@ -43,7 +43,7 @@ Q-values are bit for bit those of `run_episode` driven by
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +62,8 @@ from ..env import (
     user_statics,
 )
 from ..qoe import ContractError, Decision, all_local_decision
-from ..scenario import EdgeConfig, GeneratorConfig, PaiParams, Scenario, ValidationError, alpha_band, generate_scenario
+from ..scenario import (EdgeConfig, GeneratorConfig, PaiParams, Scenario, ValidationError,
+                        alpha_band, generate_scenario, read_fields)
 from .network import N_ACTIONS, USER_BLOCK, Adam, QNetwork
 from .replay import ReplayBuffer
 
@@ -219,6 +220,8 @@ class ScenarioSource:
             raise ValidationError(f"scope: must be one of {SCOPES}, got {self.scope!r}")
         if self.scope != "specific" and not 1 <= self.user_range[0] <= self.user_range[1]:
             raise ValidationError(f"user_range: invalid {self.user_range}")
+        if self.fixed_scenario is not None and not self.fixed_scenario.users:
+            raise ValidationError("users: scenario has no users")
 
     @property
     def i_max(self) -> int:
@@ -404,12 +407,7 @@ def greedy_solve(policy: TrainedPolicy, scenario: Scenario) -> Decision:
 def save_policy(policy: TrainedPolicy, path: str | Path) -> None:
     obj = {
         "format": "diffload-policy-v1",
-        "i_max": policy.i_max,
-        "hidden": list(policy.hidden),
-        "alpha_scale": policy.alpha_scale,
-        "scope": policy.scope,
-        "seed": policy.seed,
-        "episodes": policy.episodes,
+        **{f.name: getattr(policy, f.name) for f in fields(policy) if f.name != "params"},
         "weights": {
             key: {"shape": list(value.shape), "data": value.reshape(-1).tolist()}
             for key, value in sorted(policy.params.items())
@@ -422,9 +420,10 @@ def load_policy(path: str | Path) -> TrainedPolicy:
     """Read a policy file written by `save_policy`.
 
     Every malformed file raises `ValidationError`: bad JSON, a missing or
-    mistyped field, an `alpha_scale` that is not finite and positive, or
-    weights whose keys, shapes or values do not fit a network of the stored
-    `i_max` and `hidden`.
+    mistyped field (the header fields are read by `scenario.read_fields`, so
+    counts must be integral), an `alpha_scale` that is not finite and
+    positive, or weights whose keys, shapes or values do not fit a network
+    of the stored `i_max` and `hidden`.
     """
     try:
         obj = json.loads(Path(path).read_text())
@@ -434,15 +433,11 @@ def load_policy(path: str | Path) -> TrainedPolicy:
         raise ValidationError(f"{path}: not a recognized policy file")
     try:
         policy = TrainedPolicy(
-            i_max=int(obj["i_max"]),
-            hidden=tuple(int(h) for h in obj["hidden"]),
             params={key: np.asarray(spec["data"], dtype=float).reshape(spec["shape"])
                     for key, spec in obj["weights"].items()},
-            alpha_scale=float(obj["alpha_scale"]),
-            scope=str(obj["scope"]),
-            seed=int(obj["seed"]),
-            episodes=int(obj["episodes"]),
-        )
+            **read_fields(TrainedPolicy, obj, skip=("params",)))
+    except ValidationError:
+        raise
     except KeyError as exc:
         raise ValidationError(f"{path}: policy file lacks the field {exc}") from exc
     except (TypeError, ValueError, AttributeError) as exc:

@@ -19,7 +19,9 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import asdict, dataclass
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +64,8 @@ class UserRequest:
     request_slot: int       # slot index in [1, K] at which the request was sent
     prompt_bits: float      # uplink payload size
     intermediate_bits: float  # downlink payload size (intermediate noisy latent)
-    alpha_clamped: bool = False  # set by the generator when the alpha band was degenerate
+    # Set by the generator when the alpha band was degenerate; older files lack it.
+    alpha_clamped: bool = field(default=False, metadata={"optional": True})
 
     def __post_init__(self):
         _require(0 < self.alpha < math.inf, "alpha", "must be finite and > 0, got {}", self.alpha)
@@ -322,18 +325,11 @@ def generate_scenario(seed: int, cfg: GeneratorConfig, edge: EdgeConfig,
 
 
 # ---------------------------------------------------------------------------
-# JSON persistence. The on-disk layout mirrors the dataclasses:
-# {"seed": ..., "edge": {...}, "pai": {...}, "users": [{...}, ...]}
+# JSON persistence. The on-disk layout is the dataclasses' fields, written by
+# `asdict` and read back by `read_fields`:
+# {"seed": ..., "users": [{...}, ...], "edge": {...}, "pai": {...}}
 # with all latencies in seconds, sizes in bits, bandwidth in Hz.
 # ---------------------------------------------------------------------------
-
-def _device_from_dict(obj: dict, where: str) -> DeviceProfile:
-    try:
-        return DeviceProfile(str(obj["name"]), float(obj["step_slope"]),
-                             float(obj["step_intercept"]))
-    except KeyError as e:
-        raise ValidationError(f"{where}: missing device field {e.args[0]!r}") from e
-
 
 def scenario_to_dict(s: Scenario) -> dict:
     # The seed leads, as it always has in scenario files.
@@ -355,47 +351,66 @@ def _flag(value, name: str) -> bool:
     return value
 
 
+@cache
+def field_types(cls) -> dict[str, typing.Any]:
+    """The resolved annotation of each field of dataclass `cls`."""
+    return typing.get_type_hints(cls)
+
+
+def read_fields(cls, obj, path: str = "", skip: tuple[str, ...] = ()) -> dict:
+    """The keyword arguments of dataclass `cls`, read from the JSON object `obj`.
+
+    Each field present in `obj` is converted by its annotation (see
+    `_read_value`), and every error names the field's dotted path under
+    `path`. A field is required, default or not, unless its metadata marks
+    it ``optional``; keys that name no field are ignored, and the fields in
+    `skip` are left to the caller. An absent field, a count that is not
+    integral and a flag that is not a boolean raise `ValidationError`; any
+    other value that does not convert raises `TypeError`, which the caller
+    reports as a malformed file.
+    """
+    if not isinstance(obj, dict):
+        raise TypeError(f"{path}: must be a JSON object, got {type(obj).__name__}")
+    types = field_types(cls)
+    values = {}
+    for f in fields(cls):
+        if f.name in skip:
+            continue
+        name = f"{path}.{f.name}" if path else f.name
+        if f.name in obj:
+            values[f.name] = _read_value(types[f.name], obj[f.name], name)
+        elif not f.metadata.get("optional"):
+            raise ValidationError(f"{name}: missing field")
+    return values
+
+
+def _read_value(kind, value, name: str):
+    """`value` as a `kind`: int, bool, float, str, a dataclass, ``list[T]`` or
+    ``tuple[T, ...]``."""
+    if kind is int:
+        return _integer(value, name)
+    if kind is bool:
+        return _flag(value, name)
+    if kind is float or kind is str:
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError) as e:
+            raise TypeError(f"{name}: {e}") from e
+    if is_dataclass(kind):
+        return kind(**read_fields(kind, value, name))
+    if not isinstance(value, list):
+        raise TypeError(f"{name}: must be a JSON array, got {type(value).__name__}")
+    item = typing.get_args(kind)[0]
+    return typing.get_origin(kind)(
+        _read_value(item, v, f"{name}[{j}]") for j, v in enumerate(value))
+
+
 def scenario_from_dict(obj: dict) -> Scenario:
     """Build a scenario from its JSON layout; every malformed input is a ValidationError."""
     if not isinstance(obj, dict):
         raise ValidationError(f"scenario file must hold a JSON object, got {type(obj).__name__}")
     try:
-        edge_obj = obj["edge"]
-        edge = EdgeConfig(
-            gpus=_integer(edge_obj["gpus"], "edge.gpus"),
-            device=_device_from_dict(edge_obj["device"], "edge.device"),
-            b_max=_integer(edge_obj["b_max"], "edge.b_max"),
-            slots_per_interval=_integer(edge_obj["slots_per_interval"],
-                                        "edge.slots_per_interval"),
-            slot_duration=float(edge_obj["slot_duration"]),
-            bandwidth_hz=float(edge_obj["bandwidth_hz"]),
-            spectral_efficiency=float(edge_obj["spectral_efficiency"]),
-        )
-        pai_obj = obj["pai"]
-        pai = PaiParams(
-            n_total=_integer(pai_obj["n_total"], "pai.n_total"),
-            n_min=_integer(pai_obj["n_min"], "pai.n_min"),
-            a_f=float(pai_obj["a_f"]),
-            b_f=float(pai_obj["b_f"]),
-            kappa_pai=float(pai_obj["kappa_pai"]),
-            sigma_a=float(pai_obj["sigma_a"]),
-            sigma_b=float(pai_obj["sigma_b"]),
-        )
-        users = [
-            UserRequest(
-                id=_integer(u["id"], f"users[{j}].id"),
-                device=_device_from_dict(u["device"], f"users[{j}].device"),
-                alpha=float(u["alpha"]),
-                request_slot=_integer(u["request_slot"], f"users[{j}].request_slot"),
-                prompt_bits=float(u["prompt_bits"]),
-                intermediate_bits=float(u["intermediate_bits"]),
-                alpha_clamped=_flag(u.get("alpha_clamped", False), f"users[{j}].alpha_clamped"),
-            )
-            for j, u in enumerate(obj["users"])
-        ]
-        return Scenario(users=users, edge=edge, pai=pai, seed=_integer(obj["seed"], "seed"))
-    except KeyError as e:
-        raise ValidationError(f"missing field {e.args[0]!r} in scenario file") from e
+        return Scenario(**read_fields(Scenario, obj))
     except ValidationError:
         raise
     except (TypeError, ValueError, AttributeError, OverflowError) as e:

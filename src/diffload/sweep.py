@@ -16,7 +16,8 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -26,11 +27,7 @@ from .costmodel import CostModel, sequential_sum
 from .dqn import TrainedPolicy, greedy_solve
 from .qoe import Decision, objective
 from .scenario import (EdgeConfig, GeneratorConfig, PaiParams, Scenario, ValidationError,
-                       generate_scenario)
-
-REPORT_HEADER = ["solver", "axis", "axis_value", "case_seed", "objective",
-                 "mean_pai_term", "mean_e2e_latency_s", "decision_time_s",
-                 "grant_count"]
+                       field_types, generate_scenario)
 
 SUMMARY_HEADER = ["solver", "axis", "axis_value", "cases", "mean_objective",
                   "ci95_halfwidth"]
@@ -84,11 +81,13 @@ class ReportRow:
     decision_time_s: float
     grant_count: int
 
-    def as_list(self) -> list:
-        return [self.solver, self.axis, self.axis_value, self.case_seed,
-                repr(self.objective), repr(self.mean_pai_term),
-                repr(self.mean_e2e_latency_s), repr(self.decision_time_s),
-                self.grant_count]
+
+# The report's columns are ReportRow's fields, in order, each parsed back by
+# its annotation (str, int or float).
+_REPORT_COLUMNS = [(f.name, field_types(ReportRow)[f.name]) for f in fields(ReportRow)]
+REPORT_HEADER = [name for name, _ in _REPORT_COLUMNS]
+_report_values = attrgetter(*REPORT_HEADER)
+_FLOAT_COLUMNS = [name for name, kind in _REPORT_COLUMNS if kind is float]
 
 
 def case_seed(master_seed: int, case_index: int) -> int:
@@ -147,16 +146,10 @@ def run_sweep(cfg: ExperimentConfig) -> list[ReportRow]:
 def summarize(rows: list[ReportRow]) -> list[list]:
     """Per (solver, axis value) mean objective with a normal 95% interval."""
     grouped: dict[tuple[str, str, int], list[float]] = {}
-    order: list[tuple[str, str, int]] = []
     for row in rows:
-        key = (row.solver, row.axis, row.axis_value)
-        if key not in grouped:
-            grouped[key] = []
-            order.append(key)
-        grouped[key].append(row.objective)
+        grouped.setdefault((row.solver, row.axis, row.axis_value), []).append(row.objective)
     out = []
-    for key in order:
-        values = grouped[key]
+    for key, values in grouped.items():
         n = len(values)
         mean = sum(values) / n
         if n > 1:
@@ -172,8 +165,7 @@ def write_report(rows: list[ReportRow], path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_HEADER)
-        for row in rows:
-            writer.writerow(row.as_list())
+        writer.writerows(map(_report_values, rows))
 
 
 def write_summary(rows: list[ReportRow], path: str | Path) -> None:
@@ -199,16 +191,8 @@ def read_report(path: str | Path) -> list[ReportRow]:
             if missing:
                 raise ValidationError(f"{path}: report lacks the columns {missing}")
             for rec in reader:
-                row = ReportRow(
-                    solver=rec["solver"], axis=rec["axis"],
-                    axis_value=int(rec["axis_value"]), case_seed=int(rec["case_seed"]),
-                    objective=float(rec["objective"]),
-                    mean_pai_term=float(rec["mean_pai_term"]),
-                    mean_e2e_latency_s=float(rec["mean_e2e_latency_s"]),
-                    decision_time_s=float(rec["decision_time_s"]),
-                    grant_count=int(rec["grant_count"]))
-                if not all(map(math.isfinite, (row.objective, row.mean_pai_term,
-                                               row.mean_e2e_latency_s, row.decision_time_s))):
+                row = ReportRow(*(kind(rec[name]) for name, kind in _REPORT_COLUMNS))
+                if not all(math.isfinite(getattr(row, name)) for name in _FLOAT_COLUMNS):
                     raise ValidationError(
                         f"{path}: line {reader.line_num}: values must be finite")
                 rows.append(row)

@@ -197,6 +197,31 @@ def test_solve_non_integer_count_is_clean_error(tmp_path, scenario_file, capsys,
     assert not (tmp_path / "d.json").exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("i_max", 5.7), ("i_max", True), ("hidden[0]", [256.5, 256, 256]), ("seed", 1.5),
+    ("episodes", "1"),
+])
+def test_solve_dqn_non_integer_policy_count_is_clean_error(tmp_path, scenario_file, policy_file,
+                                                           capsys, field, value):
+    obj = json.loads(policy_file.read_text())
+    obj[field.split("[")[0]] = value
+    policy_file.write_text(json.dumps(obj))
+    code, err = solve_with_policy(scenario_file, policy_file, capsys)
+    assert code == 2 and err.startswith(f"error: {field}: must be an integer")
+
+
+@pytest.mark.parametrize("field", ["edge.device", "users[0].device.step_slope", "pai.a_f"])
+def test_solve_missing_field_is_clean_error(tmp_path, scenario_file, capsys, field):
+    def drop(obj):
+        *parents, leaf = field.replace("[0]", ".0").split(".")
+        for key in parents:
+            obj = obj[int(key)] if key.isdigit() else obj[key]
+        del obj[leaf]
+    code, err = solve_malformed(tmp_path, scenario_file, capsys, drop)
+    assert code == 2 and err.startswith(f"error: {field}: missing field")
+    assert not (tmp_path / "d.json").exists()
+
+
 @pytest.mark.parametrize("value", ["false", 0, None])
 def test_solve_non_boolean_flag_is_clean_error(tmp_path, scenario_file, capsys, value):
     code, err = solve_malformed(tmp_path, scenario_file, capsys,
@@ -209,6 +234,17 @@ def test_solve_accepts_integral_float_counts(tmp_path, scenario_file, capsys):
     code, err = solve_malformed(tmp_path, scenario_file, capsys,
                                 lambda obj: obj["edge"].update(gpus=8.0))
     assert code == 0 and err == ""
+
+
+def test_solve_accepts_files_without_alpha_clamped_or_with_unknown_keys(tmp_path, scenario_file,
+                                                                        capsys):
+    def edit(obj):
+        for user in obj["users"]:
+            del user["alpha_clamped"]
+        obj["edge"]["note"] = "ignored"
+    code, err = solve_malformed(tmp_path, scenario_file, capsys, edit)
+    assert code == 0 and err == ""
+    assert load_scenario(tmp_path / "malformed.json") == load_scenario(scenario_file)
 
 
 # -- train ----------------------------------------------------------------------
@@ -283,6 +319,18 @@ def test_solve_dqn_policy_with_a_bad_alpha_scale_is_clean_error(scenario_file, p
     policy_file.write_text(json.dumps(obj))  # writes NaN and Infinity as bare tokens
     code, err = solve_with_policy(scenario_file, policy_file, capsys)
     assert code == 2 and err.startswith("error:") and "alpha_scale" in err
+
+
+def test_train_on_a_scenario_without_users_is_clean_error(tmp_path, scenario_file, capsys):
+    obj = json.loads(scenario_file.read_text())
+    obj["users"] = []
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps(obj))
+    code = run(["train", "--scope", "specific", "--seed", 5, "--episodes", 2,
+                "--scenario", empty, "-o", tmp_path / "p.json"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: users: scenario has no users")
+    assert not (tmp_path / "p.json").exists()
 
 
 def test_train_zero_budget_fails(tmp_path, scenario_file, capsys):
