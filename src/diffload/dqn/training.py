@@ -421,9 +421,9 @@ def load_policy(path: str | Path) -> TrainedPolicy:
 
     Every malformed file raises `ValidationError`: bad JSON, a missing or
     mistyped field (the header fields are read by `scenario.read_fields`, so
-    counts must be integral), an `alpha_scale` that is not finite and
-    positive, or weights whose keys, shapes or values do not fit a network
-    of the stored `i_max` and `hidden`.
+    counts must be integral), a `scope` outside `SCOPES`, an `alpha_scale`
+    that is not finite and positive, or weights whose keys, shapes or values
+    do not fit a network of the stored `i_max` and `hidden`.
     """
     try:
         obj = json.loads(Path(path).read_text())
@@ -442,6 +442,8 @@ def load_policy(path: str | Path) -> TrainedPolicy:
         raise ValidationError(f"{path}: policy file lacks the field {exc}") from exc
     except (TypeError, ValueError, AttributeError) as exc:
         raise ValidationError(f"{path}: malformed policy file ({exc})") from exc
+    if policy.scope not in SCOPES:
+        raise ValidationError(f"scope: must be one of {SCOPES}, got {policy.scope!r}")
     if not (np.isfinite(policy.alpha_scale) and policy.alpha_scale > 0):
         raise ValidationError(
             f"{path}: alpha_scale must be finite and positive, got {policy.alpha_scale}")

@@ -366,8 +366,9 @@ def read_fields(cls, obj, path: str = "", skip: tuple[str, ...] = ()) -> dict:
     it ``optional``; keys that name no field are ignored, and the fields in
     `skip` are left to the caller. An absent field, a count that is not
     integral and a flag that is not a boolean raise `ValidationError`; any
-    other value that does not convert raises `TypeError`, which the caller
-    reports as a malformed file.
+    other value of the wrong JSON type (a float field takes a number that is
+    not a boolean, a str field a string) raises `TypeError` naming the
+    field's path, which the caller reports as a malformed file.
     """
     if not isinstance(obj, dict):
         raise TypeError(f"{path}: must be a JSON object, got {type(obj).__name__}")
@@ -391,11 +392,17 @@ def _read_value(kind, value, name: str):
         return _integer(value, name)
     if kind is bool:
         return _flag(value, name)
-    if kind is float or kind is str:
+    if kind is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError(f"{name}: must be a number, got {value!r}")
         try:
-            return kind(value)
-        except (TypeError, ValueError, OverflowError) as e:
+            return float(value)
+        except OverflowError as e:
             raise TypeError(f"{name}: {e}") from e
+    if kind is str:
+        if not isinstance(value, str):
+            raise TypeError(f"{name}: must be a string, got {value!r}")
+        return value
     if is_dataclass(kind):
         return kind(**read_fields(kind, value, name))
     if not isinstance(value, list):

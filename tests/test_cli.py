@@ -230,6 +230,18 @@ def test_solve_non_boolean_flag_is_clean_error(tmp_path, scenario_file, capsys, 
     assert not (tmp_path / "d.json").exists()
 
 
+@pytest.mark.parametrize("field, edit", [
+    ("users[0].alpha", lambda obj: obj["users"][0].update(alpha=True)),
+    ("users[0].alpha", lambda obj: obj["users"][0].update(alpha="0.5")),
+    ("users[0].device.name", lambda obj: obj["users"][0]["device"].update(name={"a": 1})),
+])
+def test_solve_mistyped_number_or_string_is_clean_error(tmp_path, scenario_file, capsys, field,
+                                                        edit):
+    code, err = solve_malformed(tmp_path, scenario_file, capsys, edit)
+    assert code == 2 and err.startswith("error:") and f"{field}: must be a " in err
+    assert not (tmp_path / "d.json").exists()
+
+
 def test_solve_accepts_integral_float_counts(tmp_path, scenario_file, capsys):
     code, err = solve_malformed(tmp_path, scenario_file, capsys,
                                 lambda obj: obj["edge"].update(gpus=8.0))
@@ -319,6 +331,24 @@ def test_solve_dqn_policy_with_a_bad_alpha_scale_is_clean_error(scenario_file, p
     policy_file.write_text(json.dumps(obj))  # writes NaN and Infinity as bare tokens
     code, err = solve_with_policy(scenario_file, policy_file, capsys)
     assert code == 2 and err.startswith("error:") and "alpha_scale" in err
+
+
+def test_solve_dqn_policy_with_a_boolean_alpha_scale_is_clean_error(scenario_file, policy_file,
+                                                                    capsys):
+    obj = json.loads(policy_file.read_text())
+    obj["alpha_scale"] = True
+    policy_file.write_text(json.dumps(obj))
+    code, err = solve_with_policy(scenario_file, policy_file, capsys)
+    assert code == 2 and err.startswith("error:") and "alpha_scale: must be a number" in err
+
+
+def test_solve_dqn_policy_with_an_unknown_scope_is_clean_error(scenario_file, policy_file,
+                                                               capsys):
+    obj = json.loads(policy_file.read_text())
+    obj["scope"] = "bogus"
+    policy_file.write_text(json.dumps(obj))
+    code, err = solve_with_policy(scenario_file, policy_file, capsys)
+    assert code == 2 and err.startswith("error: scope: must be one of")
 
 
 def test_train_on_a_scenario_without_users_is_clean_error(tmp_path, scenario_file, capsys):

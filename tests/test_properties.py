@@ -8,7 +8,9 @@ branch and bound must reach the fixed-split optimum. On scenarios drawn
 by hypothesis, some with copied users, the count oracle is also checked
 against exhaustive enumeration and branch and bound against the
 fixed-split optimum; on scenarios large enough for its pre-pass to drop
-users, the oracle is checked against the per-m sort reference. The draws
+users, the oracle is checked against the per-m sort reference, and the
+pre-pass must keep every user who can enter a top-m set. A user's gain
+never grows with the grant count, which the pre-pass rests on. The draws
 are derandomized, so that every run sees the same ones.
 """
 
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 
 from diffload.baselines import (
     PRUNE_MIN_CELLS,
+    PRUNE_STEP,
     BnbStats,
     GaConfig,
     SplitTable,
@@ -32,6 +35,7 @@ from diffload.baselines import (
     solve_count_oracle,
     solve_exhaustive,
     solve_ga,
+    _oracle_candidates,
 )
 from diffload.costmodel import CostModel
 from diffload.dqn import ScenarioSource, TrainHyper, greedy_solve, train
@@ -179,6 +183,60 @@ def pruned_scenarios_with_copies(draw):
 def test_pruned_count_oracle_matches_the_per_m_sort_reference(scenario):
     cap = min(scenario.user_count, scenario.edge.b_max)
     assert (scenario.user_count - cap) * cap >= PRUNE_MIN_CELLS
+    decision = solve_count_oracle(scenario)
+    grants = [e.granted for e in decision.entries]
+    assert {i for i, granted in enumerate(grants) if granted} == per_m_sort_oracle(scenario)
+    assert decision == SplitTable(scenario).decision(grants)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 80), st.integers(0, 129))
+def test_gains_never_grow_with_the_grant_count(seed, users, b_max):
+    scenario = wide_scenario(np.random.default_rng(seed), users, b_max)
+    model = CostModel.from_scenario(scenario)
+    cap = min(users, b_max)
+    gains = model.optimal_splits(np.arange(1, cap + 1))[1] - model.denied()[:, None]
+    assert (np.diff(gains, axis=1) <= 0).all()
+
+
+@st.composite
+def pruned_scenarios_with_interior_ties(draw):
+    """As `pruned_scenarios_with_copies`, but with b_max up to 128, so the
+    pre-pass has several checkpoint intervals. A checkpoint c strictly
+    inside (1, cap) is drawn, and the user ranked c-th by gain at c grants,
+    whose gain is the threshold of the interval that ends at c, is copied
+    into some slots, so equal gains sit on both sides of it. In half the
+    draws no gain depends on the grant count (a batch-independent edge step
+    and payloads too small to add any transfer time), so a user's gain at
+    a checkpoint equals the threshold of the interval that starts there."""
+    b_max = draw(st.integers(PRUNE_STEP + 1, 128))
+    fewest = -(-PRUNE_MIN_CELLS // b_max) + b_max
+    users = draw(st.integers(fewest, fewest + 40))
+    scenario = wide_scenario(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                             users, b_max)
+    if draw(st.booleans()):
+        edge = replace(scenario.edge, device=replace(scenario.edge.device, step_slope=0.0))
+        scenario = replace(scenario, edge=edge, users=[
+            replace(u, prompt_bits=1e-300, intermediate_bits=1e-300) for u in scenario.users])
+    checkpoint = draw(st.sampled_from(range(PRUNE_STEP, b_max, PRUNE_STEP)))
+    model = CostModel.from_scenario(scenario)
+    gains = model.optimal_splits(np.array([checkpoint]))[1][:, 0] - model.denied()
+    source = scenario.users[int(np.argsort(-gains, kind="stable")[checkpoint - 1])]
+    copied = draw(st.sets(st.integers(0, users - 1), max_size=2 * checkpoint))
+    return replace(scenario, users=[replace(source, id=i) if i in copied else user
+                                    for i, user in enumerate(scenario.users)])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(pruned_scenarios_with_interior_ties())
+def test_pre_pass_keeps_every_top_m_user_with_ties_at_a_checkpoint(scenario):
+    table = SplitTable(scenario)
+    model = CostModel.from_scenario(scenario)
+    candidates = set(_oracle_candidates(model, model.denied(), table.cap).tolist())
+    gains = table.values - table.deny[:, None]
+    # Column m - 1 of the descending sort holds the m-th largest gain at m on its diagonal.
+    last = np.sort(gains, axis=0)[::-1].diagonal()
+    assert set(np.flatnonzero((gains >= last).any(axis=1)).tolist()) <= candidates
     decision = solve_count_oracle(scenario)
     grants = [e.granted for e in decision.entries]
     assert {i for i, granted in enumerate(grants) if granted} == per_m_sort_oracle(scenario)
