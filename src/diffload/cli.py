@@ -160,7 +160,7 @@ def _axis_values(text: str) -> tuple[int, ...]:
 
 
 def cmd_sweep(args) -> int:
-    values = _axis_values(args.values) if args.values else (
+    values = _axis_values(args.values) if args.values is not None else (
         DEFAULT_USER_GRID if args.axis == "user_count" else DEFAULT_GPU_GRID)
     policy = load_policy(args.policy) if args.policy else None
     base_users = args.users if args.axis == "gpus" else 20

@@ -1,10 +1,10 @@
 """Prioritized replay memory with a separate terminal-state partition.
 
 Terminal transitions carry the latency correction and are rare (one per
-episode), so they are stored apart and every sampled batch draws terminal
-and non-terminal experiences at a fixed 1:7 ratio. Within each partition,
-transitions are sampled proportionally to priority^exponent; storage is a
-ring, so the oldest entry is evicted first.
+episode), so they are stored apart and every sampled batch draws a fixed
+number of each, the one layout the buffer is built for (1:7 in training).
+Within each partition, transitions are sampled proportionally to
+priority^exponent; storage is a ring, so the oldest entry is evicted first.
 
 Each partition is a ring of typed columns (features, action, reward, next
 features), preallocated at the first push, plus a float64 priority column.
@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from ..scenario import ValidationError
 
 # Sampling priority is (|TD error| + PRIORITY_OFFSET) ** PRIORITY_EXPONENT;
 # importance-sampling weights are (N * P) ** -IS_EXPONENT, max-normalized.
@@ -85,17 +87,24 @@ class Sample:
 
 
 class ReplayBuffer:
-    def __init__(self, capacity: int, terminal_fraction: float = 0.125):
-        term_cap, regular_cap = self.partition_sizes(capacity, terminal_fraction)
-        self.capacity = capacity
+    """`capacity` transitions drawn in batches of `batch_size`, `terminal_quota` of them
+    terminal; the terminal partition keeps the quota's share, at least one slot."""
+
+    def __init__(self, capacity: int, batch_size: int, terminal_quota: int):
+        if not 0 < terminal_quota < batch_size:
+            raise ValidationError(f"terminal_quota: must be in (0, {batch_size}), "
+                                  f"got {terminal_quota}")
+        term_cap = max(1, int(capacity * (terminal_quota / batch_size)))
+        regular_cap = capacity - term_cap
+        if term_cap < terminal_quota or regular_cap < batch_size - terminal_quota:
+            raise ValidationError(
+                f"capacity: {capacity} splits into replay partitions of {term_cap} "
+                f"terminal and {regular_cap} other transitions, which cannot hold a batch's "
+                f"{terminal_quota} and {batch_size - terminal_quota} draws")
+        self.batch_size = batch_size
+        self.terminal_quota = terminal_quota
         self.terminal = PriorityRing(term_cap)
         self.regular = PriorityRing(regular_cap)
-
-    @staticmethod
-    def partition_sizes(capacity: int, terminal_fraction: float) -> tuple[int, int]:
-        """(terminal, regular) ring capacities of a buffer of `capacity` transitions."""
-        term_cap = max(1, int(capacity * terminal_fraction))
-        return term_cap, capacity - term_cap
 
     def __len__(self) -> int:
         return self.terminal.size + self.regular.size
@@ -106,20 +115,17 @@ class ReplayBuffer:
         ring = self.terminal if terminal else self.regular
         ring.add((features, actions, rewards, next_features))
 
-    def ready(self, batch_size: int, terminal_quota: int) -> bool:
-        return (self.terminal.size >= terminal_quota
-                and self.regular.size >= batch_size - terminal_quota)
+    def ready(self) -> bool:
+        return (self.terminal.size >= self.terminal_quota
+                and self.regular.size >= self.batch_size - self.terminal_quota)
 
-    def sample(self, batch_size: int, terminal_quota: int,
-               rng: np.random.Generator) -> Sample:
+    def sample(self, rng: np.random.Generator) -> Sample:
         """Stratified draw: `terminal_quota` terminal + the rest non-terminal."""
-        if not self.ready(batch_size, terminal_quota):
+        if not self.ready():
             raise ValueError("not enough stored transitions in one of the partitions")
         parts = []
-        for ring, count in ((self.terminal, terminal_quota),
-                            (self.regular, batch_size - terminal_quota)):
-            if not count:
-                continue
+        for ring, count in ((self.terminal, self.terminal_quota),
+                            (self.regular, self.batch_size - self.terminal_quota)):
             slots, probs = ring.draw(count, rng)
             parts.append((*(col[slots] for col in ring.columns), slots, probs,
                           np.full(count, float(ring.size))))
@@ -127,7 +133,7 @@ class ReplayBuffer:
             np.concatenate(column) for column in zip(*parts))
         weights = (sizes * probs) ** (-IS_EXPONENT)
         weights = weights / weights.max()
-        terminal_mask = np.arange(batch_size) < terminal_quota
+        terminal_mask = np.arange(self.batch_size) < self.terminal_quota
         return Sample(features=features, actions=actions, rewards=rewards,
                       next_features=next_features, slots=slots,
                       terminal_mask=terminal_mask, weights=weights)

@@ -81,7 +81,7 @@ REWARD_SCALE = 0.1                # rewards are stored scaled by this
 @dataclass(frozen=True)
 class TrainHyper:
     batch_size: int = 128
-    terminal_quota: int = 16          # terminal samples per batch (1:7 ratio)
+    terminal_quota: int = 16          # terminal samples per batch (1:7 ratio); the replay checks it
     # Train steps between hard target copies. Terminal latency credit moves
     # back one decision per copy (see the module docstring), so the budget
     # must hold several copies per decision: 4000 twenty-user episodes at
@@ -98,15 +98,6 @@ class TrainHyper:
         for name in ("batch_size", "target_sync", "capacity", "train_every"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name}: must be positive")
-        if not 0 < self.terminal_quota < self.batch_size:
-            raise ValidationError("terminal_quota must be in (0, batch_size)")
-        terminal, regular = ReplayBuffer.partition_sizes(
-            self.capacity, self.terminal_quota / self.batch_size)
-        if terminal < self.terminal_quota or regular < self.batch_size - self.terminal_quota:
-            raise ValidationError(
-                f"capacity: {self.capacity} splits into replay partitions of {terminal} "
-                f"terminal and {regular} other transitions, which cannot hold a batch's "
-                f"{self.terminal_quota} and {self.batch_size - self.terminal_quota} draws")
 
 
 def linear_schedule(start: float, end: float, t: int, horizon: int) -> float:
@@ -150,12 +141,11 @@ def td_targets(rewards: np.ndarray, next_features: np.ndarray, dones: np.ndarray
 
 
 def train_step(net: QNetwork, target_net: QNetwork, adam: Adam,
-               buffer: ReplayBuffer, hyper: TrainHyper,
-               rng: np.random.Generator) -> float | None:
+               buffer: ReplayBuffer, rng: np.random.Generator) -> float | None:
     """One stratified PER update. Returns the loss, or None if the buffer is light."""
-    if not buffer.ready(hyper.batch_size, hyper.terminal_quota):
+    if not buffer.ready():
         return None
-    sample = buffer.sample(hyper.batch_size, hyper.terminal_quota, rng)
+    sample = buffer.sample(rng)
     targets = td_targets(sample.rewards, sample.next_features, sample.terminal_mask,
                          target_net)
     q, cache = net.forward_cached(sample.features)
@@ -213,7 +203,7 @@ class ScenarioSource:
     seed: int
     user_range: tuple[int, int] = (10, 20)
     fixed_scenario: Scenario | None = None
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.scope not in SCOPES:
@@ -290,7 +280,7 @@ def train(source: ScenarioSource, hyper: TrainHyper, seed: int,
     net = QNetwork(i_max, rng=rng, dtype=TRAIN_DTYPE)
     target = net.clone()
     adam = Adam(net.params, lr=LEARNING_RATE)
-    buffer = ReplayBuffer(hyper.capacity, terminal_fraction=hyper.terminal_quota / hyper.batch_size)
+    buffer = ReplayBuffer(hyper.capacity, hyper.batch_size, hyper.terminal_quota)
     explore = hyper.explore_steps
     if explore is None:
         explore = int(0.8 * hyper.episodes * i_max)
@@ -310,15 +300,14 @@ def train(source: ScenarioSource, hyper: TrainHyper, seed: int,
         return select_action(net, features, eps, tau, rng)
 
     for episode in range(hyper.episodes):
-        scenario = source.scenario_for_episode(episode)
-        record = run_episode(scenario, exploring, i_max, alpha_scale)
-        rewards = assign_rewards(record, scenario)
+        record = run_episode(source.scenario_for_episode(episode), exploring, i_max, alpha_scale)
+        rewards = assign_rewards(record)
         returns.append(sum(rewards))
         _push_episode(buffer, record, rewards)
 
         credit += len(record.actions) / hyper.train_every
         while credit >= 1.0:
-            loss = train_step(net, target, adam, buffer, hyper, rng)
+            loss = train_step(net, target, adam, buffer, rng)
             if loss is None:
                 credit = 0.0  # still warming up; forfeit these updates
                 break
@@ -346,10 +335,10 @@ def greedy_rollout(policy: TrainedPolicy, scenario: Scenario) -> tuple[EnvState,
     """One greedy episode under the policy: the terminal state and each step's Q-values.
 
     The scenario must hold 1 to `policy.i_max` users and a grant capacity of
-    at least 1. States advance through `env.reset` and `env.step`; the
-    network's input is kept up to date between steps rather than encoded and
-    embedded anew, and the policy's weights are read in place, in the dtype
-    of its `W0`:
+    at least 1. States advance through `env.reset` and `env.step` until the
+    state is done; the network's input is kept up to date between steps
+    rather than encoded and embedded anew, and the policy's weights are read
+    in place, in the dtype of its `W0`:
 
     - `table` holds each user's `user_statics` row and status embedding in
       processing order, twice over, so the rotation that puts the
@@ -385,8 +374,8 @@ def greedy_rollout(policy: TrainedPolicy, scenario: Scenario) -> tuple[EnvState,
         global_features(state, i_max, x[0, i_max * USER_BLOCK:])
         q = q_values[steps] = net.dense(x)[0]
         steps += 1
-        state, done = step(state, greedy_action(q))
-        if not done:
+        state = step(state, greedy_action(q))
+        if not state.done:
             for user in (cursor, state.cursor):
                 row = embed[state.statuses[user]]
                 table[user, N_STATICS:] = table[user + users, N_STATICS:] = row
@@ -400,8 +389,7 @@ def greedy_solve(policy: TrainedPolicy, scenario: Scenario) -> Decision:
             f"scenario has {scenario.user_count} users; policy capacity is {policy.i_max}")
     if scenario.user_count == 0 or scenario.edge.b_max < 1:
         return all_local_decision(scenario)
-    final_state, _ = greedy_rollout(policy, scenario)
-    return decision_from_state(final_state, scenario)
+    return decision_from_state(greedy_rollout(policy, scenario)[0])
 
 
 def save_policy(policy: TrainedPolicy, path: str | Path) -> None:

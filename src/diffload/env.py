@@ -7,8 +7,9 @@ every request has been handled or the grant cap is reached, at which point
 all still-pending users are denied.
 
 A state (:class:`EnvState`) keeps each fact once: the scenario, its
-processing order, one status code per user and the cursor. The grant,
-deny and pending counts and every encoded feature are read off those.
+processing order, one status code per user and the cursor. The counters,
+the episode's end and every encoded feature are read off those, and so is
+the scenario by every function that takes a state or an episode record.
 
 An episode is recorded as arrays (:class:`EpisodeRecord`), each state
 encoded straight into its row of one feature matrix.
@@ -95,7 +96,7 @@ def reset(scenario: Scenario) -> EnvState:
     return EnvState(scenario, tuple(processing_order(scenario)), statuses, 0)
 
 
-def step(state: EnvState, action: int) -> tuple[EnvState, bool]:
+def step(state: EnvState, action: int) -> EnvState:
     """Apply a grant (1) / deny (0) to the in-progress user. Pure function."""
     if state.done:
         raise ContractError("step on a terminal state")
@@ -109,7 +110,7 @@ def step(state: EnvState, action: int) -> tuple[EnvState, bool]:
     cursor = statuses.index(PENDING) if PENDING in statuses else -1
     if cursor >= 0:
         statuses[cursor] = IN_PROGRESS
-    return EnvState(state.scenario, state.user_ids, tuple(statuses), cursor), cursor < 0
+    return EnvState(state.scenario, state.user_ids, tuple(statuses), cursor)
 
 
 def user_statics(state: EnvState, alpha_scale: float = 1.0) -> np.ndarray:
@@ -184,8 +185,11 @@ class EpisodeRecord:
 
     features: np.ndarray
     actions: np.ndarray
-    handled_order: list[int]
     final_state: EnvState
+
+    @property
+    def handled_order(self) -> tuple[int, ...]:
+        return self.final_state.user_ids[:len(self.actions)]
 
 
 def run_episode(scenario: Scenario, policy, i_max: int,
@@ -200,25 +204,23 @@ def run_episode(scenario: Scenario, policy, i_max: int,
     _encode_local(state, local, i_max, features[0])
     while not state.done:
         actions[steps] = action = int(policy(features[steps]))
-        state, _ = step(state, action)
+        state = step(state, action)
         steps += 1
         _encode_local(state, local, i_max, features[steps])
-    # Users are handled in processing order.
-    return EpisodeRecord(features[:steps + 1], actions[:steps],
-                         list(state.user_ids[:steps]), state)
+    return EpisodeRecord(features[:steps + 1], actions[:steps], state)
 
 
-def decision_from_state(state: EnvState, scenario: Scenario) -> Decision:
-    """Final grant/deny vector, in user-id order, with the optimal splits."""
+def decision_from_state(state: EnvState) -> Decision:
+    """The state's final grant/deny vector, in user-id order, with the optimal splits."""
     if not state.done:
         raise ContractError("episode has not terminated")
-    grants = [False] * scenario.user_count
+    grants = [False] * state.user_count
     for user_id, status in zip(state.user_ids, state.statuses):
         grants[user_id] = status == GRANTED
-    return SplitTable(scenario).decision(grants)
+    return SplitTable(state.scenario).decision(grants)
 
 
-def assign_rewards(episode: EpisodeRecord, scenario: Scenario) -> list[float]:
+def assign_rewards(episode: EpisodeRecord) -> list[float]:
     """Per-step rewards that sum exactly to the objective of the final decision.
 
     Each non-terminal step earns the handled user's accuracy credit
@@ -227,8 +229,8 @@ def assign_rewards(episode: EpisodeRecord, scenario: Scenario) -> list[float]:
     of everyone. A record whose final state is not terminal raises
     `ContractError`.
     """
-    decision = decision_from_state(episode.final_state, scenario)
-    parts = CostModel.from_scenario(scenario).breakdown(decision)
+    decision = decision_from_state(episode.final_state)
+    parts = CostModel.from_scenario(episode.final_state.scenario).breakdown(decision)
     pai_terms = parts.pai_term.tolist()  # indexed by user id
     handled = episode.handled_order
     visited = set(handled[:-1])

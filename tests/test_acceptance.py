@@ -149,8 +149,8 @@ def test_criterion_4_reward_sum_identity():
         scenario = random_scenario(rng, max_users=14)
         record = run_episode(scenario, lambda f: int(rng.integers(2)),
                              i_max=scenario.user_count)
-        rewards = assign_rewards(record, scenario)
-        total = objective(scenario, decision_from_state(record.final_state, scenario))
+        rewards = assign_rewards(record)
+        total = objective(scenario, decision_from_state(record.final_state))
         assert close(sum(rewards), total), (
             f"seed {scenario.seed}: rewards {sum(rewards)} vs objective {total}")
 

@@ -432,6 +432,7 @@ def test_train_specific_ignores_the_user_range_of_other_scopes(tmp_path, capsys)
     (["train", "--scope", "general", "--seed", 1, "--episodes", 1, "--gpus", 0], "gpus"),
     (["sweep", "--values", "4,4", "--cases", 2, "--seed", 1, "--solvers", "b1"], "values"),
     (["sweep", "--values", 4, "--cases", 2, "--seed", 1, "--solvers", "b1,b1"], "solvers"),
+    (["sweep", "--values", "", "--cases", 1, "--seed", 1], "--values"),
 ])
 def test_negative_seed_or_malformed_values_is_clean_error(tmp_path, scenario_file, capsys,
                                                           argv, flag):

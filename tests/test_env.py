@@ -35,7 +35,7 @@ def rollout(scenario, actions):
     state = reset(scenario)
     states = [state]
     while not state.done:
-        state, _ = step(state, next(record_actions))
+        state = step(state, next(record_actions))
         states.append(state)
     return states
 
@@ -72,16 +72,16 @@ def test_reset_rejects_empty_or_capless():
 def test_step_is_pure():
     scenario = make_scenario(users=4)
     state = reset(scenario)
-    a, _ = step(state, 1)
-    b, _ = step(state, 1)
+    a = step(state, 1)
+    b = step(state, 1)
     assert a == b
 
 
 def test_grant_cap_denies_remaining():
     scenario = make_scenario(users=3, b_max=1)
     state = reset(scenario)
-    state, done = step(state, 1)
-    assert done
+    state = step(state, 1)
+    assert state.done
     assert state.granted == 1
     assert state.denied == 2
     assert state.statuses.count(DENIED) == 2
@@ -105,7 +105,7 @@ def test_counters_conserved_along_any_trajectory():
         while not state.done:
             assert state.pending + state.granted + state.denied + 1 == scenario.user_count
             assert state.granted <= state.b_max
-            state, _ = step(state, int(rng.integers(2)))
+            state = step(state, int(rng.integers(2)))
         assert state.pending == 0
         assert state.granted + state.denied == scenario.user_count
 
@@ -130,8 +130,8 @@ def test_episode_length_bounded_and_early_stop_iff_cap():
 def test_step_on_terminal_rejected():
     scenario = make_scenario(users=2, b_max=1)
     state = reset(scenario)
-    state, done = step(state, 1)
-    assert done
+    state = step(state, 1)
+    assert state.done
     with pytest.raises(ContractError):
         step(state, 0)
 
@@ -141,8 +141,8 @@ def test_step_on_terminal_rejected():
 def test_encode_layout_and_in_progress_first():
     scenario = make_scenario(users=5)
     state = reset(scenario)
-    state, _ = step(state, 1)
-    state, _ = step(state, 0)
+    state = step(state, 1)
+    state = step(state, 0)
     feats = encode(state, i_max=8)
     assert feats.shape == (8 * 4 + 6,)
     assert feats[3] == IN_PROGRESS  # token of the first encoded slot
@@ -201,7 +201,7 @@ def test_encode_alpha_scaling():
 def test_all_deny_rewards_are_accuracy_credits():
     scenario = make_scenario(seed=2, users=5)
     record = run_episode(scenario, lambda f: 0, i_max=5)
-    rewards = assign_rewards(record, scenario)
+    rewards = assign_rewards(record)
     f_total = fitted_pai(scenario.pai.n_total, scenario.pai)
     ordered_users = [scenario.users[i] for i in record.handled_order]
     for user, r in zip(ordered_users[:-1], rewards[:-1]):
@@ -215,9 +215,9 @@ def test_reward_sum_identity_random_policies():
         b_max = int(rng.integers(1, 18))
         scenario = make_scenario(seed=trial, users=users, b_max=b_max)
         record = run_episode(scenario, lambda f: int(rng.integers(2)), i_max=users)
-        rewards = assign_rewards(record, scenario)
+        rewards = assign_rewards(record)
         assert len(rewards) == len(record.actions)
-        total = objective(scenario, decision_from_state(record.final_state, scenario))
+        total = objective(scenario, decision_from_state(record.final_state))
         assert sum(rewards) == pytest.approx(total, rel=1e-9, abs=1e-9)
 
 
@@ -245,22 +245,22 @@ def test_episode_record_encodes_each_state_and_its_rewards_sum_to_the_objective(
         assert np.array_equal(record.features[t], encode(state, i_max, alpha_scale))
         assert record.handled_order[t] == state.user_ids[state.cursor]
         assert action == actions[t]
-        state, _ = step(state, int(action))
+        state = step(state, int(action))
     # `step` raises on a terminal state, so the episode took exactly these steps.
     assert state.done and state == record.final_state
     assert np.array_equal(record.features[-1], encode(state, i_max, alpha_scale))
-    rewards = assign_rewards(record, scenario)
+    rewards = assign_rewards(record)
     assert len(rewards) == len(record.actions)
-    total = objective(scenario, decision_from_state(state, scenario))
+    total = objective(scenario, decision_from_state(state))
     assert sum(rewards) == pytest.approx(total, rel=1e-9, abs=1e-9)
 
 
 def test_single_user_terminal_reward_is_full_objective():
     scenario = make_scenario(seed=4, users=1)
     record = run_episode(scenario, lambda f: 1, i_max=1)
-    rewards = assign_rewards(record, scenario)
+    rewards = assign_rewards(record)
     assert len(rewards) == 1
-    decision = decision_from_state(record.final_state, scenario)
+    decision = decision_from_state(record.final_state)
     assert rewards[0] == pytest.approx(objective(scenario, decision), rel=1e-12)
 
 
@@ -271,7 +271,7 @@ def test_final_decision_always_feasible():
                                  b_max=int(rng.integers(1, 6)))
         record = run_episode(scenario, lambda f: int(rng.integers(2)),
                              i_max=scenario.user_count)
-        decision = decision_from_state(record.final_state, scenario)
+        decision = decision_from_state(record.final_state)
         validate_decision(scenario, decision)  # raises on any violation
 
 
@@ -297,7 +297,7 @@ def test_decision_from_state_matches_per_user_split_loop():
                                  gpus=int(rng.integers(1, 17)))
         grant_rate = rng.uniform()
         record = run_episode(scenario, lambda f: int(rng.uniform() < grant_rate), i_max=users)
-        decision = decision_from_state(record.final_state, scenario)
+        decision = decision_from_state(record.final_state)
         reference = per_user_decision(record.final_state, scenario)
         assert decision == reference
         assert [type(e.granted) for e in decision.entries] == [bool] * users
@@ -307,6 +307,6 @@ def test_decision_from_state_matches_per_user_split_loop():
 def test_rewards_require_complete_episode():
     scenario = make_scenario(users=3)
     record = EpisodeRecord(features=np.zeros((1, 18)), actions=np.zeros(0, dtype=np.int64),
-                           handled_order=[], final_state=reset(scenario))
+                           final_state=reset(scenario))
     with pytest.raises(ContractError):
-        assign_rewards(record, scenario)
+        assign_rewards(record)

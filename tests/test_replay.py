@@ -49,7 +49,7 @@ def test_ring_eviction_drops_oldest():
 
 
 def test_buffer_capacity_split_and_bound():
-    buf = ReplayBuffer(capacity=80, terminal_fraction=0.125)
+    buf = ReplayBuffer(capacity=80, batch_size=8, terminal_quota=1)
     for i in range(300):
         push_one(buf, REGULAR, i, terminal=False)
     for i in range(50):
@@ -63,36 +63,36 @@ def test_buffer_capacity_split_and_bound():
 
 
 def test_stratified_quota_per_batch():
-    buf = ReplayBuffer(capacity=1000)
+    buf = ReplayBuffer(capacity=1000, batch_size=128, terminal_quota=16)
     for i in range(200):
         push_one(buf, REGULAR, i, terminal=False)
     for i in range(30):
         push_one(buf, TERMINAL, i, terminal=True)
     rng = np.random.default_rng(0)
-    sample = buf.sample(128, 16, rng)
+    sample = buf.sample(rng)
     assert sample.terminal_mask.sum() == 16
     assert (~sample.terminal_mask).sum() == 112
     assert all(sample.features[sample.terminal_mask, 0] == TERMINAL)
 
 
 def test_not_ready_raises_until_both_partitions_filled():
-    buf = ReplayBuffer(capacity=1000)
+    buf = ReplayBuffer(capacity=1000, batch_size=128, terminal_quota=16)
     for i in range(200):
         push_one(buf, REGULAR, i, terminal=False)
-    assert not buf.ready(128, 16)
+    assert not buf.ready()
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        buf.sample(128, 16, rng)
+        buf.sample(rng)
     for i in range(16):
         push_one(buf, TERMINAL, i, terminal=True)
-    assert buf.ready(128, 16)
+    assert buf.ready()
 
 
 def test_uniform_priorities_sample_uniformly():
     # chi-square goodness of fit over 1e5 draws; 74.9195 is the df=49
     # critical value at significance 0.01, so exceeding it would reject
     # uniformity at p < 0.01.
-    buf = ReplayBuffer(capacity=1000)
+    buf = ReplayBuffer(capacity=1000, batch_size=8, terminal_quota=1)
     for i in range(50):
         push_one(buf, REGULAR, i, terminal=False)
     for i in range(2):
@@ -101,7 +101,7 @@ def test_uniform_priorities_sample_uniformly():
     counts = Counter()
     draws = 0
     while draws < 100_000:
-        sample = buf.sample(8, 1, rng)
+        sample = buf.sample(rng)
         for item in ids_of(sample, terminal=False):
             counts[item] += 1
             draws += 1
@@ -111,17 +111,17 @@ def test_uniform_priorities_sample_uniformly():
 
 
 def test_uniform_priorities_give_unit_is_weights():
-    buf = ReplayBuffer(capacity=100)
+    buf = ReplayBuffer(capacity=100, batch_size=16, terminal_quota=2)
     for i in range(40):
         push_one(buf, REGULAR, i, terminal=False)
     for i in range(5):
         push_one(buf, TERMINAL, i, terminal=True)
-    sample = buf.sample(16, 2, np.random.default_rng(1))
+    sample = buf.sample(np.random.default_rng(1))
     assert np.allclose(sample.weights, 1.0)
 
 
 def test_inclusion_frequency_monotone_in_priority():
-    buf = ReplayBuffer(capacity=1000)
+    buf = ReplayBuffer(capacity=1000, batch_size=32, terminal_quota=2)
     rng = np.random.default_rng(7)
     for i in range(64):
         push_one(buf, REGULAR, i, terminal=False)
@@ -132,7 +132,7 @@ def test_inclusion_frequency_monotone_in_priority():
     buf.regular.priority[:64] = (priorities + PRIORITY_OFFSET) ** PRIORITY_EXPONENT
     counts = Counter()
     for _ in range(4000):
-        sample = buf.sample(32, 2, rng)
+        sample = buf.sample(rng)
         for item in ids_of(sample, terminal=False):
             counts[item] += 1
     freq = [counts[i] for i in range(64)]
@@ -140,12 +140,12 @@ def test_inclusion_frequency_monotone_in_priority():
 
 
 def test_updated_priorities_shift_sampling_mass():
-    buf = ReplayBuffer(capacity=100)
+    buf = ReplayBuffer(capacity=100, batch_size=16, terminal_quota=1)
     for i in range(30):
         push_one(buf, REGULAR, i, terminal=False)
     push_one(buf, TERMINAL, 0, terminal=True)
     rng = np.random.default_rng(3)
-    sample = buf.sample(16, 1, rng)
+    sample = buf.sample(rng)
     # boost one non-terminal transition's priority, crush the other sampled ones
     idx = int(np.flatnonzero(~sample.terminal_mask)[0])
     td = np.zeros(16)
@@ -154,7 +154,7 @@ def test_updated_priorities_shift_sampling_mass():
     heavy = int(sample.features[idx, 1])
     hits = 0
     for _ in range(300):
-        s = buf.sample(16, 1, rng)
+        s = buf.sample(rng)
         hits += int((ids_of(s, terminal=False) == heavy).sum())
     assert hits > 1000  # far above the uniform expectation of ~150
 
@@ -228,7 +228,7 @@ def test_no_draw_lands_past_the_filled_slots(stored):
 @pytest.mark.parametrize("capacity", [1, 2, 13, 16, 50, 350])
 def test_slot_drawn_twice_keeps_its_last_priority(capacity):
     rng = np.random.default_rng(capacity)
-    buf = ReplayBuffer(capacity + 1, terminal_fraction=0.0)
+    buf = ReplayBuffer(capacity + 1, batch_size=capacity + 1, terminal_quota=1)
     assert buf.regular.capacity == capacity and buf.terminal.capacity == 1
     buf.push(*tagged(REGULAR, np.arange(capacity)), terminal=False)
     push_one(buf, TERMINAL, 0, terminal=True)
@@ -277,7 +277,7 @@ def test_episode_push_matches_transition_pushes_bitwise():
     capacity wraps both rings.
     """
     rng = np.random.default_rng(11)
-    whole, single = (ReplayBuffer(capacity=64, terminal_fraction=0.125) for _ in range(2))
+    whole, single = (ReplayBuffer(capacity=64, batch_size=8, terminal_quota=1) for _ in range(2))
     for episode in range(40):
         n = int(rng.integers(2, 12))
         columns = (rng.normal(size=(n, 5)), rng.integers(0, 2, size=n), rng.normal(size=n),
@@ -290,9 +290,9 @@ def test_episode_push_matches_transition_pushes_bitwise():
             assert (ring.priority[slots] == newest).all()
             for k in range(rows.start, rows.stop):
                 single.push(*(c[k:k + 1] for c in columns), terminal=terminal)
-        if whole.ready(8, 1):
-            a = whole.sample(8, 1, np.random.default_rng(episode))
-            b = single.sample(8, 1, np.random.default_rng(episode))
+        if whole.ready():
+            a = whole.sample(np.random.default_rng(episode))
+            b = single.sample(np.random.default_rng(episode))
             td = rng.normal(size=8) * 10.0 ** rng.integers(-3, 2)
             whole.update_priorities(a, td)
             single.update_priorities(b, td)

@@ -133,7 +133,7 @@ def test_live_targets_add_max_next_q():
 
 def _filled_buffer(net, hyper, n_regular=60, n_terminal=8, seed=0):
     rng = np.random.default_rng(seed)
-    buf = ReplayBuffer(hyper.capacity, terminal_fraction=hyper.terminal_quota / hyper.batch_size)
+    buf = ReplayBuffer(hyper.capacity, hyper.batch_size, hyper.terminal_quota)
     dim = net.feature_dim
     def feat():
         f = rng.normal(size=dim)
@@ -151,8 +151,8 @@ def test_train_step_skips_on_light_buffer():
     net = QNetwork(i_max=3, hidden=(8, 8, 8))
     target = net.clone()
     adam = Adam(net.params, lr=LEARNING_RATE)
-    buf = ReplayBuffer(hyper.capacity)
-    assert train_step(net, target, adam, buf, hyper, np.random.default_rng(0)) is None
+    buf = ReplayBuffer(hyper.capacity, hyper.batch_size, hyper.terminal_quota)
+    assert train_step(net, target, adam, buf, np.random.default_rng(0)) is None
 
 
 def test_train_step_returns_nonnegative_loss_and_updates():
@@ -162,7 +162,7 @@ def test_train_step_returns_nonnegative_loss_and_updates():
     adam = Adam(net.params, lr=LEARNING_RATE)
     buf, rng = _filled_buffer(net, hyper)
     before = net.params["W0"].copy()
-    loss = train_step(net, target, adam, buf, hyper, rng)
+    loss = train_step(net, target, adam, buf, rng)
     assert loss is not None and loss >= 0.0
     assert not np.array_equal(before, net.params["W0"])
 
@@ -177,7 +177,7 @@ def test_target_sync_exact_at_multiples():
     adam = Adam(net.params, lr=1e-3)
     buf, rng = _filled_buffer(net, tiny_hyper())
     for step_count in range(1, 15):
-        train_step(net, target, adam, buf, tiny_hyper(), rng)
+        train_step(net, target, adam, buf, rng)
         if step_count % 7 == 0:
             target.copy_from(net)
             for key in net.params:
@@ -192,8 +192,8 @@ def test_target_sync_exact_at_multiples():
 def test_push_episode_stores_the_terminal_step_apart(users, b_max, action):
     scenario = generate_scenario(3, GeneratorConfig(user_count=users), default_edge(b_max=b_max))
     record = run_episode(scenario, lambda features: action, i_max=users)
-    rewards = assign_rewards(record, scenario)
-    buf = ReplayBuffer(1000)
+    rewards = assign_rewards(record)
+    buf = ReplayBuffer(1000, batch_size=128, terminal_quota=16)
     _push_episode(buf, record, rewards)
     features = record.features.astype(np.float32)
     scaled = np.array(rewards) * REWARD_SCALE
@@ -267,7 +267,15 @@ def test_train_rejects_a_capacity_whose_partitions_cannot_fill_a_batch(capacity)
     # At the default 1:7 split, capacity 100 keeps 12 terminal slots for a
     # quota of 16, and capacity 1 leaves the regular partition no slot.
     with pytest.raises(ValidationError, match="^capacity: "):
-        TrainHyper(capacity=capacity)
+        ReplayBuffer(capacity, batch_size=128, terminal_quota=16)
+    with pytest.raises(ValidationError, match="^capacity: "):
+        train(make_source(users=3), TrainHyper(capacity=capacity, episodes=1), seed=0)
+
+
+@pytest.mark.parametrize("quota", [0, 128])
+def test_replay_rejects_a_terminal_quota_outside_the_batch(quota):
+    with pytest.raises(ValidationError, match="^terminal_quota: "):
+        ReplayBuffer(400_000, batch_size=128, terminal_quota=quota)
 
 
 def test_scenario_source_scopes():
@@ -282,6 +290,15 @@ def test_scenario_source_scopes():
 
     specific = make_source(scope="specific", users=6, seed=2)
     assert specific.scenario_for_episode(0) == specific.scenario_for_episode(41)
+
+
+def test_replaced_source_draws_the_scenarios_of_its_own_seed():
+    """`dataclasses.replace` gives a source with its own, empty scenario cache."""
+    source = make_source(scope="gpu", users=8, seed=1, user_range=(3, 8))
+    first = source.scenario_for_episode(0)
+    replaced = replace(source, seed=2).scenario_for_episode(0)
+    fresh = make_source(scope="gpu", users=8, seed=2, user_range=(3, 8)).scenario_for_episode(0)
+    assert replaced == fresh and replaced != first
 
 
 def test_scenario_source_pool_cycles():
@@ -365,7 +382,7 @@ def test_greedy_rollout_matches_the_encoded_forward_pass(tmp_path):
             ref_state, ref_q_values = reference_rollout(policy, scenario)
             assert np.array_equal(q_values, ref_q_values), label
             assert state == ref_state, label
-            assert greedy_solve(policy, scenario) == decision_from_state(ref_state, scenario), label
+            assert greedy_solve(policy, scenario) == decision_from_state(ref_state), label
             cut_short += len(q_values) < users
             padded += users < policy.i_max
         assert cut_short and padded, name
@@ -414,5 +431,5 @@ def test_specific_training_beats_random_policy():
     random_returns = []
     for _ in range(300):
         record = run_episode(scenario, lambda f: int(rng.integers(2)), i_max=8)
-        random_returns.append(sum(assign_rewards(record, scenario)))
+        random_returns.append(sum(assign_rewards(record)))
     assert greedy_value > np.mean(random_returns)
