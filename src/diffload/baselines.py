@@ -179,7 +179,7 @@ def _fixed_split_tables(scenario: Scenario, split: int):
     model = CostModel.from_scenario(scenario)
     grant = np.empty((scenario.user_count, cap + 1))  # column m unused for m=0
     grant[:, 0] = -np.inf
-    grant[:, 1:] = model.granted(split, np.arange(1, cap + 1))
+    grant[:, 1:] = model.granted(split, np.arange(1, cap + 1)).T
     return model.denied(), grant, cap
 
 
@@ -270,21 +270,23 @@ PRUNE_STEP = 16
 
 
 def ranked_gains(values: np.ndarray, deny: np.ndarray) -> np.ndarray:
-    """(cap, min(K, cap)) ranked gains of K users from their (K, cap) grid of
+    """(cap, min(K, cap)) ranked gains of K users from their (cap, K) grid of
     granted values and (K,) deny values: row m - 1 holds the largest gains in
     a round of m grants, in descending order.
 
     A row longer than cap is cut to its top cap gains (`np.partition`)
     before the sort; they are the values a full descending sort would put
-    first, in the same order.
+    first, in the same order. The grid is count-major, so each row's
+    partition and sort run over contiguous memory, in place.
     """
-    # Rows are contiguous, which makes the per-row partition and sort faster
-    # than column ones.
-    gains = np.ascontiguousarray((values - deny[:, None]).T)
+    gains = values - deny
     cap, k = gains.shape
     if cap and k > cap:
-        gains = np.partition(gains, k - cap, axis=1)[:, k - cap:]
-    return -np.sort(-gains, axis=1)[:, :cap]
+        gains.partition(k - cap, axis=1)
+        gains = gains[:, k - cap:]
+    ranked = np.negative(gains)
+    ranked.sort(axis=1)
+    return np.negative(ranked, out=ranked)
 
 
 def grant_count_totals(deny: np.ndarray, ranked: np.ndarray) -> np.ndarray:
@@ -308,11 +310,12 @@ def _oracle_candidates(model: CostModel, deny: np.ndarray, cap: int) -> np.ndarr
     The checkpoint counts c_0 = 1 < c_1 < ... < c_k = cap are 1, every
     `PRUNE_STEP`-th count and cap. User u is kept when, for some interval j,
     their gain at c_j is at least T_{j+1}, the c_{j+1}-th largest gain at
-    c_{j+1}. At cap = 1 the one interval is [1, 1].
+    c_{j+1}. At cap = 1 the one interval is [1, 1]. Row j of one transient
+    `optimal_splits` grid holds every user's value at c_j.
     """
     counts = np.r_[1, np.arange(PRUNE_STEP, cap, PRUNE_STEP), cap]
-    _, ends = model.optimal_splits(counts)
-    gains = (ends - deny[:, None]).T
+    _, gains = model.optimal_splits(counts, transient=True)
+    gains -= deny
     n = len(deny)
     keep = np.zeros(n, dtype=bool)
     for start, end, c in zip(gains, gains[1:], counts[1:]):
@@ -334,15 +337,19 @@ def solve_count_oracle(scenario: Scenario) -> Decision:
     exact. At a fixed split the computed value does not increase with m,
     because every operation in ``_transfer``, ``edge_step`` and ``_granted``
     is monotone under rounding. Each cell's split is the integer optimum, so
-    a user's gain never grows with the count, and gain column m dominates
-    every later column entry by entry. Take any m in a checkpoint interval
-    [c_j, c_{j+1}]. Column m dominates column c_{j+1} and m <= c_{j+1}, so
+    a user's gain never grows with the count, and gain row m dominates
+    every later row entry by entry. Take any m in a checkpoint interval
+    [c_j, c_{j+1}]. Row m dominates row c_{j+1} and m <= c_{j+1}, so
     the m-th largest gain at m is at least T_{j+1}, the c_{j+1}-th largest
     gain at c_{j+1}. Every member of a top-m set, and every user tied with
     its last member, has a gain at m of at least T_{j+1}, and so a gain at
     c_j of at least T_{j+1}: each is a candidate. The candidates are ranked
     in ascending id order, so ties still go to the lower id. The deny values
     are still summed over every user.
+
+    Both grids are transient (see `CostModel.optimal_splits`): each is read
+    before the next is filled, so the only grid a warm call allocates is
+    the gains that `ranked_gains` ranks.
     """
     n = scenario.user_count
     cap = min(n, scenario.edge.b_max)
@@ -352,16 +359,16 @@ def solve_count_oracle(scenario: Scenario) -> Decision:
     if (n - cap) * cap >= PRUNE_MIN_CELLS:
         users = _oracle_candidates(model, deny, cap)
         model = model.subset(users)
-    splits, values = model.optimal_splits(np.arange(1, cap + 1))
+    splits, values = model.optimal_splits(np.arange(1, cap + 1), transient=True)
     users_deny = deny[users]
     best = int(np.argmax(grant_count_totals(deny, ranked_gains(values, users_deny))))
     grants = np.zeros(n, dtype=bool)
     chosen_splits = np.full(n, scenario.pai.n_total)
     if best > 0:
-        gains = values[:, best - 1] - users_deny
+        gains = values[best - 1] - users_deny
         ranked = np.argsort(-gains, kind="stable")[:best]
         grants[users[ranked]] = True
-        chosen_splits[users[ranked]] = splits[ranked, best - 1]
+        chosen_splits[users[ranked]] = splits[best - 1, ranked]
     return decision_of(grants, chosen_splits, scenario.pai.n_total)
 
 

@@ -1,21 +1,25 @@
 """The latency/accuracy model over all users at once.
 
 :class:`CostModel` holds a scenario as per-user vectors and evaluates the
-model of :mod:`diffload.qoe` on whole (user, grant count) grids, or for one
-decision as each user's :class:`Breakdown`. Every value is computed with
-the operations of the scalar :func:`qoe.e2e_latency` in the same order and
-the accuracy curve is tabulated with :func:`scenario.fitted_pai` itself, so
+model of :mod:`diffload.qoe` on whole (grant count, user) grids, or for one
+decision as each user's :class:`Breakdown`. Grids are count-major: row j
+holds one grant count for every user. Every value is computed with the
+operations of the scalar :func:`qoe.e2e_latency` in the same order and the
+accuracy curve is tabulated with :func:`scenario.fitted_pai` itself, so
 each cell equals the scalar reference bit for bit. Optimal splits follow
 the case analysis of the reference :func:`split.optimal_split`, with the
-interior root in closed form.
+interior root in closed form. Their temporaries live in a workspace kept
+between calls, so filling a grid no larger than an earlier one allocates
+only the grids it returns.
 
-:class:`SplitTable` fills those grids once per scenario and serves every
-decision that needs optimal splits: the oracles, the baselines, the
-genetic algorithm and the decision environment.
+:class:`SplitTable` fills those grids once per scenario and serves the
+decisions that need optimal splits at many grant counts: the baselines,
+the genetic algorithm and the exhaustive oracle.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -34,7 +38,7 @@ def _accuracy_table(pai: PaiParams) -> np.ndarray:
     return table
 
 
-def stationary_point(alpha, delta, pai: PaiParams):
+def stationary_point(alpha, delta, pai: PaiParams, out=None):
     """The split n > b_f at which the marginal accuracy rate equals `delta`.
 
     The rate is alpha * a_f * F(n)(1 - F(n)), so F(1 - F) = c with
@@ -45,10 +49,45 @@ def stationary_point(alpha, delta, pai: PaiParams):
     holds whenever the rate at n_min exceeds delta > 0; takes scalars or
     arrays alike. Cells outside that interior (delta <= 0, or c out of
     range) may give nan or inf, and the caller discards them.
+
+    `out`, when given, is a pair of float arrays of the broadcast shape:
+    c is written to the first and n* to the second, which is returned, and
+    no other array of that shape is made.
     """
-    c = delta / (alpha * pai.a_f)
-    f = (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * c, 0.0))) / 2.0
-    return pai.b_f + np.log(f * f / c) / pai.a_f
+    if out is None:
+        shape = np.broadcast_shapes(np.shape(alpha), np.shape(delta))
+        out = np.empty(shape), np.empty(shape)
+    c, n = out
+    np.divide(delta, np.multiply(alpha, pai.a_f), out=c)
+    np.multiply(c, 4.0, out=n)
+    np.subtract(1.0, n, out=n)
+    np.maximum(n, 0.0, out=n)
+    np.sqrt(n, out=n)
+    n += 1.0
+    n /= 2.0  # F*
+    n *= n
+    n /= c
+    np.log(n, out=n)
+    n /= pai.a_f
+    n += pai.b_f
+    return n
+
+
+_workspace = threading.local()
+
+
+def _grid_scratch(shape: tuple[int, int]) -> tuple[np.ndarray, ...]:
+    """Six float grids and two bool masks of `shape`, views into one float64
+    buffer that lives between calls, one per thread. The buffer only grows,
+    so a grid no larger than one seen before allocates nothing."""
+    cells = shape[0] * shape[1]
+    size = 6 * cells + -(-2 * cells // 8)
+    buffer = getattr(_workspace, "buffer", None)
+    if buffer is None or buffer.size < size:
+        buffer = _workspace.buffer = np.empty(size)
+    grids = [buffer[j * cells:(j + 1) * cells].reshape(shape) for j in range(6)]
+    masks = buffer[6 * cells:].view(np.bool_)
+    return (*grids, masks[:cells].reshape(shape), masks[cells:2 * cells].reshape(shape))
 
 
 @dataclass(frozen=True)
@@ -104,12 +143,15 @@ class CostModel:
     def granted(self, split, m) -> np.ndarray:
         """Value of each user granted at `split` in a round of m grants.
 
-        `split` broadcasts against (I, k) and `m` against (k,); the result
-        is (I, k), users along the first axis.
+        `m` is a grant count or a (k,) array of them, and `split` broadcasts
+        against (k, I); the result is (k, I), row j for a round of ``m[j]``
+        grants.
         """
-        m = np.asarray(m)
-        return self._granted(np.asarray(split), self.rtt[:, None] + self._transfer(m),
-                             self.edge_step(m))
+        m = np.asarray(m).reshape(-1, 1)
+        split = np.broadcast_to(np.asarray(split, dtype=float), (len(m), len(self.alpha)))
+        head, out, scratch = (np.empty(split.shape) for _ in range(3))
+        return self._granted(split, split.astype(np.intp), self._head(m, out=head),
+                             self.edge_step(m), out, scratch)
 
     def breakdown(self, decision: Decision) -> Breakdown:
         """Each user's accuracy term and latency parts (summed as in qoe.e2e_latency)
@@ -117,63 +159,103 @@ class CostModel:
         granted = np.array([e.granted for e in decision.entries], dtype=bool)
         split = np.array([e.split for e in decision.entries], dtype=np.int64)
         m = np.count_nonzero(granted)
-        transfer = np.where(granted, self._transfer(m)[:, 0], 0.0)
+        transfer = np.where(granted, self._transfer(m), 0.0)
         edge_c = np.where(granted, (self.pai.n_total - split) * self.edge_step(m), 0.0)
         local = split * self.local_step
         return Breakdown(pai_term=self.alpha * self.accuracy[split], rtt=self.rtt,
                          uplink_downlink=transfer, edge_compute=edge_c, local_compute=local,
                          total=self.rtt + transfer + edge_c + local)
 
-    def _transfer(self, m) -> np.ndarray:
-        """(I, k) uplink plus downlink latency in a round of m grants; m is (k,) or a scalar."""
-        return self.payload[:, None] * m / (
-            self.edge.spectral_efficiency * self.edge.bandwidth_hz)
+    def _transfer(self, m, out=None) -> np.ndarray:
+        """Uplink plus downlink latency of each user in a round of m grants; a (k, 1)
+        `m` gives a (k, I) grid."""
+        out = np.multiply(self.payload, m, out=out)
+        out /= self.edge.spectral_efficiency * self.edge.bandwidth_hz
+        return out
 
-    def _granted(self, split: np.ndarray, head: np.ndarray, edge_step) -> np.ndarray:
-        total = head + (self.pai.n_total - split) * edge_step
-        total += split * self.local_step[:, None]
-        return np.subtract(self.alpha[:, None] * self.accuracy[split.astype(np.intp)], total,
-                           out=total)
+    def _head(self, m, out) -> np.ndarray:
+        """The split-independent part of each latency: the wait plus the transfer."""
+        return np.add(self.rtt, self._transfer(m, out=out), out=out)
 
-    def optimal_splits(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(I, k) optimal splits and their values; column j holds a round of
-        ``counts[j]`` grants, for a (k,) int array of grant counts."""
+    def _granted(self, split, index, head, edge_step, out, scratch) -> np.ndarray:
+        """alpha * F(split) - (head + (n_total - split) * edge_step + split * local_step),
+        the value of qoe.user_qoe, written to `out`; `index` is `split` as ints.
+        `out` may be `split` itself, and `scratch` is overwritten."""
+        np.multiply(split, self.local_step, out=scratch)
+        np.subtract(self.pai.n_total, split, out=out)
+        out *= edge_step
+        np.add(head, out, out=out)
+        out += scratch
+        np.take(self.accuracy, index, out=scratch)
+        scratch *= self.alpha
+        return np.subtract(scratch, out, out=out)
+
+    def optimal_splits(self, counts: np.ndarray,
+                       transient: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """(k, I) optimal splits and their values; row j holds a round of
+        ``counts[j]`` grants, for a (k,) int array of grant counts.
+
+        Every grid but the two returned ones lives in a workspace kept
+        between calls (`_grid_scratch`), so a call no larger than an earlier
+        one allocates no grid but its results. A `transient` call returns
+        views into that workspace too, which the next call on the same
+        thread overwrites; it is for callers that are done with the grids
+        before they fill another.
+        """
         pai = self.pai
-        m = np.asarray(counts)
+        m = np.asarray(counts).reshape(-1, 1)
+        delta, root, upper, head, kept_splits, kept_values, top, low = _grid_scratch(
+            (len(m), len(self.alpha)))
         edge_step = self.edge_step(m)
-        delta = self.local_step[:, None] - edge_step
+        np.subtract(self.local_step, edge_step, out=delta)
 
         def rate(n):
             f = self.accuracy[n]
             return self.alpha * pai.a_f * f * (1.0 - f)
 
-        local_dominates = delta <= 0
-        pai_saturated = ~local_dominates & (rate(pai.n_total)[:, None] >= delta)
-        latency_saturated = (~local_dominates & ~pai_saturated
-                             & (rate(pai.n_min)[:, None] <= delta))
-        interior = ~(local_dominates | pai_saturated | latency_saturated)
+        # The cases of split.optimal_split, tested in its order. Local dominates
+        # (delta <= 0) or the accuracy term saturates: every step stays local.
+        # Otherwise the latency term saturates: n_min. Otherwise the interior root.
+        np.greater_equal(rate(pai.n_total), delta, out=top)
+        top |= np.less_equal(delta, 0.0, out=low)
+        np.less_equal(rate(pai.n_min), delta, out=low)
 
         # Splits are held as whole-number floats, so _granted casts no ints. The
-        # root is taken on the whole grid and kept in the interior cells only.
+        # root is taken on the whole grid, and the saturated cells are then set
+        # to their bound, n_min first so that `top` overrides it.
         with np.errstate(divide="ignore", invalid="ignore"):
-            lo = np.floor(stationary_point(self.alpha[:, None], delta, pai))
+            lo = np.floor(stationary_point(self.alpha, delta, pai, out=(upper, root)), out=root)
             np.clip(lo, pai.n_min, pai.n_total, out=lo)
-        np.copyto(lo, float(pai.n_min), where=latency_saturated)
-        np.copyto(lo, float(pai.n_total), where=local_dominates | pai_saturated)
-        hi = np.minimum(lo + 1.0, pai.n_total)
-        np.copyto(hi, lo, where=~interior)
-        head = self.rtt[:, None] + self._transfer(m)  # the split-independent part
-        values, v_hi = self._granted(lo, head, edge_step), self._granted(hi, head, edge_step)
-        take_hi = v_hi > values
-        np.copyto(lo, hi, where=take_hi)
-        np.copyto(values, v_hi, where=take_hi)
-        return lo.astype(np.int64), values
+        hi = np.minimum(np.add(lo, 1.0, out=upper), pai.n_total, out=upper)
+        for mask, bound in ((low, pai.n_min), (top, pai.n_total)):
+            if mask.any():
+                np.copyto(lo, float(bound), where=mask)
+                np.copyto(hi, float(bound), where=mask)
+
+        self._head(m, out=head)
+        if transient:
+            splits, values = kept_splits.view(np.int64), kept_values
+            np.copyto(splits, lo, casting="unsafe")
+        else:
+            splits, values = lo.astype(np.int64), np.empty(lo.shape)
+        self._granted(lo, splits, head, edge_step, values, delta)
+        index = lo.view(np.int64)  # lo is spent
+        np.copyto(index, hi, casting="unsafe")
+        v_hi = self._granted(hi, index, head, edge_step, hi, delta)
+        # hi is lo or lo + 1, and v_hi equals values where hi is lo, so a cell
+        # whose v_hi wins moves up by one.
+        splits += np.greater(v_hi, values, out=top)
+        # fmax takes v_hi exactly where the compare does. It keeps values where
+        # v_hi is nan, and values is nan only where v_hi is too: they differ
+        # only in a finite split.
+        np.fmax(values, v_hi, out=values)
+        return splits, values
 
 
 class SplitTable:
     """Optimal splits and values for every user and grant count, filled once.
 
-    ``splits`` and ``values`` are (I, cap) grids whose column m - 1 holds a
+    ``splits`` and ``values`` are (cap, I) grids whose row m - 1 holds a
     round of m grants, for m = 1..cap with cap = min(I, b_max); ``deny``
     holds each user's fully local value.
     """
@@ -188,7 +270,7 @@ class SplitTable:
     def granted(self, user_idx: int, m: int) -> tuple[int, float]:
         """(optimal split, QoE) for user granted within a round of m grants."""
         self._check_count(m)
-        return int(self.splits[user_idx, m - 1]), float(self.values[user_idx, m - 1])
+        return int(self.splits[m - 1, user_idx]), float(self.values[m - 1, user_idx])
 
     def _check_count(self, m: int) -> None:
         if not 1 <= m <= self.cap:
@@ -203,7 +285,7 @@ class SplitTable:
             splits = np.full(grants.shape, n_total)
         else:
             self._check_count(m)
-            splits = np.where(grants, self.splits[:, m - 1], n_total)
+            splits = np.where(grants, self.splits[m - 1], n_total)
         return decision_of(grants, splits, n_total)
 
     def value(self, grants) -> float:
@@ -219,8 +301,8 @@ class SplitTable:
             raise ContractError(f"grant count {m.max()} above the cap {self.cap}")
         if grants.shape[1] == 0:
             return np.zeros(len(grants))
-        # A row with m = 0 grants no one, so the column it reads is never used.
-        granted = self.values[:, np.maximum(m, 1) - 1].T if self.cap else self.deny
+        # A row with m = 0 grants no one, so the grid row it reads is never used.
+        granted = self.values[np.maximum(m, 1) - 1] if self.cap else self.deny
         per_user = np.where(grants, granted, self.deny)
         return np.cumsum(per_user, axis=1)[:, -1]
 

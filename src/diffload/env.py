@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costmodel import CostModel, SplitTable, sequential_sum
+from .costmodel import CostModel, decision_of, sequential_sum
 from .qoe import ContractError, Decision
 from .scenario import Scenario, ValidationError, step_latency_local
 
@@ -211,13 +211,20 @@ def run_episode(scenario: Scenario, policy, i_max: int,
 
 
 def decision_from_state(state: EnvState) -> Decision:
-    """The state's final grant/deny vector, in user-id order, with the optimal splits."""
+    """The state's final grant/deny vector, in user-id order, with the optimal
+    splits. Only the final grant count's row of the split grid is solved; at
+    no grants everyone runs locally."""
     if not state.done:
         raise ContractError("episode has not terminated")
-    grants = [False] * state.user_count
-    for user_id, status in zip(state.user_ids, state.statuses):
-        grants[user_id] = status == GRANTED
-    return SplitTable(state.scenario).decision(grants)
+    grants = np.zeros(state.user_count, dtype=bool)
+    grants[list(state.user_ids)] = [status == GRANTED for status in state.statuses]
+    n_total = state.scenario.pai.n_total
+    splits = np.full(state.user_count, n_total)
+    if state.granted:
+        model = CostModel.from_scenario(state.scenario)
+        at_count, _ = model.optimal_splits(np.array([state.granted]), transient=True)
+        splits = np.where(grants, at_count[0], n_total)
+    return decision_of(grants, splits, n_total)
 
 
 def assign_rewards(episode: EpisodeRecord) -> list[float]:

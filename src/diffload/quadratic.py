@@ -55,7 +55,7 @@ def build_quadratic(scenario: Scenario, fixed_split: int) -> QuadraticForm:
     linear[:, DENY] = model.denied()
     # At m = 0 a grant keeps only the terms that do not scale with the grant
     # count: the wait, the local steps and the edge steps' intercept.
-    linear[:, GRANT] = model.granted(fixed_split, 0)[:, 0]
+    linear[:, GRANT] = model.granted(fixed_split, 0)[0]
     # Grant-grant couplings: user i's transfer and per-batch edge compute
     # accrue once per granted user i' (including i' = i).
     coupling = (model.payload / (edge.spectral_efficiency * edge.bandwidth_hz)

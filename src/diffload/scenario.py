@@ -337,10 +337,13 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 
 def _integer(value, name: str) -> int:
-    """An integer field: an integral JSON number that is not a boolean."""
+    """An integer field: an integral JSON number that is not a boolean and
+    that int64 holds, as the cost model's arrays do."""
     if isinstance(value, bool) or not (
             isinstance(value, int) or isinstance(value, float) and value.is_integer()):
         raise ValidationError(f"{name}: must be an integer, got {value!r}")
+    if not -2**63 <= value < 2**63:
+        raise ValidationError(f"{name}: must be an integer within int64, got {value!r}")
     return int(value)
 
 

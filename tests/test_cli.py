@@ -197,6 +197,19 @@ def test_solve_non_integer_count_is_clean_error(tmp_path, scenario_file, capsys,
     assert not (tmp_path / "d.json").exists()
 
 
+
+@pytest.mark.parametrize("value", [2**63, 1e308])
+@pytest.mark.parametrize("solver", ["oracle", "b1", "bnb"])
+def test_solve_count_beyond_int64_is_clean_error(tmp_path, scenario_file, capsys, value, solver):
+    obj = json.loads(scenario_file.read_text())
+    obj["edge"]["slots_per_interval"] = value
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj))
+    assert run(["solve", path, "--solver", solver, "-o", tmp_path / "d.json"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: edge.slots_per_interval: must be an integer within int64")
+    assert not (tmp_path / "d.json").exists()
+
 @pytest.mark.parametrize("field, value", [
     ("i_max", 5.7), ("i_max", True), ("hidden[0]", [256.5, 256, 256]), ("seed", 1.5),
     ("episodes", "1"),

@@ -1,8 +1,10 @@
 """The array cost model against the scalar reference, and the oracle built on it."""
 
 import ast
+import tracemalloc
 import warnings
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
@@ -116,7 +118,7 @@ def test_fixed_split_grid_matches_scalar_value():
             for m in range(1, 7):
                 expected = user_qoe(user, DecisionEntry(granted=True, split=split), m,
                                     scenario.edge, scenario.pai)
-                assert grid[i, m - 1] == pytest.approx(expected, rel=1e-12)
+                assert grid[m - 1, i] == pytest.approx(expected, rel=1e-12)
 
 
 def argsort_count_totals(table):
@@ -124,7 +126,7 @@ def argsort_count_totals(table):
     deny_total = sequential_sum(table.deny)
     if table.cap == 0:
         return np.array([deny_total])
-    gains = np.ascontiguousarray((table.values - table.deny[:, None]).T)
+    gains = table.values - table.deny
     order = np.argsort(-gains, axis=1, kind="stable")
     top = np.cumsum(np.take_along_axis(gains, order, axis=1), axis=1)
     return deny_total + np.concatenate(([0.0], top.diagonal()))
@@ -194,7 +196,7 @@ def test_degenerate_sizes_through_table_and_oracle(users, full_cap):
         scenario = wide_scenario(rng, users=users, b_max=b_max)
         table = SplitTable(scenario)
         assert table.cap == min(users, b_max)
-        assert table.splits.shape == table.values.shape == (users, table.cap)
+        assert table.splits.shape == table.values.shape == (table.cap, users)
         decision = solve_count_oracle(scenario)
         validate_decision(scenario, decision)
         best = objective(scenario, solve_exhaustive(scenario))
@@ -213,7 +215,7 @@ def loop_value(table, grants):
     m = sum(grants)
     total = 0.0
     for i, granted in enumerate(grants):
-        total += float(table.values[i, m - 1] if granted else table.deny[i])
+        total += float(table.values[m - 1, i] if granted else table.deny[i])
     return total
 
 
@@ -243,6 +245,54 @@ def test_row_values_rejects_a_row_above_cap():
     with pytest.raises(ContractError, match="grant count 4"):
         table.value(grants[1])
 
+
+
+def fresh_grids(model, counts):
+    """The grids of a call made in a new thread, whose workspace starts empty."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(model.optimal_splits, counts).result()
+
+
+@pytest.mark.parametrize("transient", [False, True])
+def test_grids_after_a_larger_and_a_smaller_call_equal_fresh_ones(transient):
+    rng = np.random.default_rng(21)
+    model = CostModel.from_scenario(wide_scenario(rng, users=30, b_max=12))
+    counts = np.arange(1, 13)
+    expected = fresh_grids(model, counts)
+    for users, b_max in ((80, 40), (5, 3)):
+        other = CostModel.from_scenario(wide_scenario(rng, users=users, b_max=b_max))
+        other.optimal_splits(np.arange(1, b_max + 1), transient)
+        for got, want in zip(model.optimal_splits(counts, transient), expected):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_split_table_grids_survive_later_grid_calls():
+    rng = np.random.default_rng(22)
+    table = SplitTable(wide_scenario(rng, users=30, b_max=12))
+    splits, values = table.splits.copy(), table.values.copy()
+    for users, b_max in ((80, 40), (30, 12), (5, 3)):
+        scenario = wide_scenario(rng, users=users, b_max=b_max)
+        for transient in (False, True):
+            CostModel.from_scenario(scenario).optimal_splits(np.arange(1, b_max + 1), transient)
+        SplitTable(scenario)
+        solve_count_oracle(scenario)
+    assert np.array_equal(table.splits, splits) and np.array_equal(table.values, values)
+
+
+def test_warm_oracle_call_allocates_less_than_one_full_grid():
+    # A warm call fills its grids in the workspace. Its traced peak stays below
+    # one (1000, 64) float grid, 512 KB; it was about 750 KB when every call
+    # made its own grid temporaries.
+    scenario = make_scenario(seed=20101, users=1000, b_max=64)
+    for _ in range(2):
+        solve_count_oracle(scenario)
+    tracemalloc.start()
+    try:
+        solve_count_oracle(scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1000 * 64 * 8
 
 @pytest.mark.parametrize("name", sorted(SOLVERS))
 def test_every_solver_returns_the_empty_decision_for_no_users(name):

@@ -18,6 +18,7 @@ from diffload.env import (
     run_episode,
     step,
 )
+from diffload.costmodel import SplitTable
 from diffload.qoe import (ContractError, Decision, DecisionEntry, fitted_pai, objective,
                           validate_decision)
 from diffload.scenario import GeneratorConfig, ValidationError, default_edge, generate_scenario
@@ -303,6 +304,26 @@ def test_decision_from_state_matches_per_user_split_loop():
         assert [type(e.granted) for e in decision.entries] == [bool] * users
         assert [type(e.split) for e in decision.entries] == [int] * users
 
+
+
+@pytest.mark.parametrize("grant_rate", [0.0, 1.0, 0.5])
+def test_decision_from_state_is_the_split_table_decision(grant_rate):
+    # Grant rates 0 and 1 end at m = 0 and at the cap; 0.5 ends in between.
+    rng = np.random.default_rng(int(grant_rate * 10) + 40)
+    for trial in range(40):
+        users = int(rng.integers(1, 40))
+        scenario = make_scenario(seed=400 + trial, users=users, b_max=int(rng.integers(1, 20)),
+                                 gpus=int(rng.integers(1, 17)))
+        record = run_episode(scenario, lambda f: int(rng.uniform() < grant_rate), i_max=users)
+        state = record.final_state
+        if grant_rate == 0.0:
+            assert state.granted == 0
+        elif grant_rate == 1.0:
+            assert state.granted == min(users, scenario.edge.b_max)
+        grants = [False] * users
+        for user_id, status in zip(state.user_ids, state.statuses):
+            grants[user_id] = status == GRANTED
+        assert decision_from_state(state) == SplitTable(scenario).decision(grants)
 
 def test_rewards_require_complete_episode():
     scenario = make_scenario(users=3)

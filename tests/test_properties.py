@@ -59,7 +59,7 @@ def fixed_split_optimum(scenario):
     cap = min(scenario.user_count, scenario.edge.b_max)
     best = float(deny.sum())
     for m in range(1, cap + 1):
-        gains = np.sort(model.granted(scenario.pai.n_min, [m])[:, 0] - deny)[::-1]
+        gains = np.sort(model.granted(scenario.pai.n_min, [m])[0] - deny)[::-1]
         best = max(best, float(deny.sum() + gains[:m].sum()))
     return best
 
@@ -171,7 +171,7 @@ def pruned_scenarios_with_copies(draw):
     scenario = wide_scenario(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
                              users, b_max)
     model = CostModel.from_scenario(scenario)
-    gains = model.optimal_splits(np.array([b_max]))[1][:, 0] - model.denied()
+    gains = model.optimal_splits(np.array([b_max]))[1][0] - model.denied()
     source = scenario.users[int(np.argsort(-gains, kind="stable")[b_max - 1])]
     copied = draw(st.sets(st.integers(0, users - 1), max_size=2 * b_max))
     return replace(scenario, users=[replace(source, id=i) if i in copied else user
@@ -195,8 +195,8 @@ def test_gains_never_grow_with_the_grant_count(seed, users, b_max):
     scenario = wide_scenario(np.random.default_rng(seed), users, b_max)
     model = CostModel.from_scenario(scenario)
     cap = min(users, b_max)
-    gains = model.optimal_splits(np.arange(1, cap + 1))[1] - model.denied()[:, None]
-    assert (np.diff(gains, axis=1) <= 0).all()
+    gains = model.optimal_splits(np.arange(1, cap + 1))[1] - model.denied()
+    assert (np.diff(gains, axis=0) <= 0).all()
 
 
 @st.composite
@@ -220,7 +220,7 @@ def pruned_scenarios_with_interior_ties(draw):
             replace(u, prompt_bits=1e-300, intermediate_bits=1e-300) for u in scenario.users])
     checkpoint = draw(st.sampled_from(range(PRUNE_STEP, b_max, PRUNE_STEP)))
     model = CostModel.from_scenario(scenario)
-    gains = model.optimal_splits(np.array([checkpoint]))[1][:, 0] - model.denied()
+    gains = model.optimal_splits(np.array([checkpoint]))[1][0] - model.denied()
     source = scenario.users[int(np.argsort(-gains, kind="stable")[checkpoint - 1])]
     copied = draw(st.sets(st.integers(0, users - 1), max_size=2 * checkpoint))
     return replace(scenario, users=[replace(source, id=i) if i in copied else user
@@ -233,10 +233,10 @@ def test_pre_pass_keeps_every_top_m_user_with_ties_at_a_checkpoint(scenario):
     table = SplitTable(scenario)
     model = CostModel.from_scenario(scenario)
     candidates = set(_oracle_candidates(model, model.denied(), table.cap).tolist())
-    gains = table.values - table.deny[:, None]
-    # Column m - 1 of the descending sort holds the m-th largest gain at m on its diagonal.
-    last = np.sort(gains, axis=0)[::-1].diagonal()
-    assert set(np.flatnonzero((gains >= last).any(axis=1)).tolist()) <= candidates
+    gains = table.values - table.deny
+    # Row m - 1 of the descending sort holds the m-th largest gain at m on its diagonal.
+    last = np.sort(gains, axis=1)[:, ::-1].diagonal()
+    assert set(np.flatnonzero((gains >= last[:, None]).any(axis=0)).tolist()) <= candidates
     decision = solve_count_oracle(scenario)
     grants = [e.granted for e in decision.entries]
     assert {i for i, granted in enumerate(grants) if granted} == per_m_sort_oracle(scenario)
