@@ -24,9 +24,9 @@ from .scenario import Scenario, ValidationError
 
 
 def _first_in_request_order(scenario: Scenario) -> np.ndarray:
-    """(I,) grant mask of the first min(I, b_max) users in request order."""
+    """(I,) grant mask of the first `Scenario.cap` users in request order."""
     grants = np.zeros(scenario.user_count, dtype=bool)
-    grants[processing_order(scenario)[:scenario.edge.b_max]] = True
+    grants[processing_order(scenario)[:scenario.cap]] = True
     return grants
 
 
@@ -37,8 +37,7 @@ def baseline_all_offload_opt(scenario: Scenario) -> Decision:
 
 def _min_split_decision(scenario: Scenario, grants: np.ndarray) -> Decision:
     """Granted users at the minimum split, everyone else fully local."""
-    pai = scenario.pai
-    return decision_of(grants, np.where(grants, pai.n_min, pai.n_total), pai.n_total)
+    return decision_of(grants, scenario.pai.n_min, scenario.pai.n_total)
 
 
 def baseline_all_offload_fixed(scenario: Scenario) -> Decision:
@@ -173,16 +172,6 @@ class BnbStats:
     incumbent: float = float("-inf")
 
 
-def _fixed_split_tables(scenario: Scenario, split: int):
-    """Per-user deny values and granted values indexed by grant count."""
-    cap = min(scenario.user_count, scenario.edge.b_max)
-    model = CostModel.from_scenario(scenario)
-    grant = np.empty((scenario.user_count, cap + 1))  # column m unused for m=0
-    grant[:, 0] = -np.inf
-    grant[:, 1:] = model.granted(split, np.arange(1, cap + 1)).T
-    return model.denied(), grant, cap
-
-
 def solve_bnb(scenario: Scenario, stats: BnbStats | None = None) -> Decision:
     """Exact maximizer of the fixed-split assignment via depth-first search.
 
@@ -203,14 +192,18 @@ def solve_bnb(scenario: Scenario, stats: BnbStats | None = None) -> Decision:
     stats = stats if stats is not None else BnbStats()
     n = scenario.user_count
     order = np.asarray(processing_order(scenario), dtype=np.intp)
-    deny, grant, cap = _fixed_split_tables(scenario, scenario.pai.n_min)
-    deny, grant = deny[order], grant[order]
+    cap = scenario.cap
+    # deny[i] and grant[i, m - 1]: user i's value denied and granted at n_min in
+    # a round of m grants, users in processing order.
+    model = CostModel.from_scenario(scenario)
+    deny = model.denied()[order]
+    grant = model.granted(scenario.pai.n_min, np.arange(1, cap + 1)).T[order]
 
     # tails[depth][g]: the optimistic completion of users depth.. at g grants,
     # each column summed from the last user back. Column g < cap lets every
     # user take max(deny, grant at g + 1); column cap denies everyone.
     tails = np.zeros((n + 1, cap + 1))
-    tails[:n, :cap] = np.cumsum(np.maximum(deny[:, None], grant[:, 1:])[::-1], axis=0)[::-1]
+    tails[:n, :cap] = np.cumsum(np.maximum(deny[:, None], grant)[::-1], axis=0)[::-1]
     tails[:n, cap] = np.cumsum(deny[::-1])[::-1]
 
     # The search reads single entries, which Python lists serve far faster
@@ -228,7 +221,7 @@ def solve_bnb(scenario: Scenario, stats: BnbStats | None = None) -> Decision:
         child = depth + 1
         if count < cap:
             chosen[depth] = True
-            value = sum(g[i][count + 1] if chosen[i] else d[i] for i in range(child))
+            value = sum(g[i][count] if chosen[i] else d[i] for i in range(child))
             nodes += 1
             if child == n:
                 if value > best_value:
@@ -310,11 +303,11 @@ def _oracle_candidates(model: CostModel, deny: np.ndarray, cap: int) -> np.ndarr
     The checkpoint counts c_0 = 1 < c_1 < ... < c_k = cap are 1, every
     `PRUNE_STEP`-th count and cap. User u is kept when, for some interval j,
     their gain at c_j is at least T_{j+1}, the c_{j+1}-th largest gain at
-    c_{j+1}. At cap = 1 the one interval is [1, 1]. Row j of one transient
+    c_{j+1}. At cap = 1 the one interval is [1, 1]. Row j of one
     `optimal_splits` grid holds every user's value at c_j.
     """
     counts = np.r_[1, np.arange(PRUNE_STEP, cap, PRUNE_STEP), cap]
-    _, gains = model.optimal_splits(counts, transient=True)
+    _, gains = model.optimal_splits(counts)
     gains -= deny
     n = len(deny)
     keep = np.zeros(n, dtype=bool)
@@ -347,29 +340,28 @@ def solve_count_oracle(scenario: Scenario) -> Decision:
     in ascending id order, so ties still go to the lower id. The deny values
     are still summed over every user.
 
-    Both grids are transient (see `CostModel.optimal_splits`): each is read
-    before the next is filled, so the only grid a warm call allocates is
-    the gains that `ranked_gains` ranks.
+    Each grid is read before the next `CostModel.optimal_splits` call
+    refills the workspace, so the only grid a warm call allocates is the
+    gains that `ranked_gains` ranks.
     """
-    n = scenario.user_count
-    cap = min(n, scenario.edge.b_max)
+    n, cap = scenario.user_count, scenario.cap
     model = CostModel.from_scenario(scenario)
     deny = model.denied()
     users = np.arange(n)
     if (n - cap) * cap >= PRUNE_MIN_CELLS:
         users = _oracle_candidates(model, deny, cap)
         model = model.subset(users)
-    splits, values = model.optimal_splits(np.arange(1, cap + 1), transient=True)
+    splits, values = model.optimal_splits(np.arange(1, cap + 1))
     users_deny = deny[users]
     best = int(np.argmax(grant_count_totals(deny, ranked_gains(values, users_deny))))
+    if best == 0:
+        return all_local_decision(scenario)
+    gains = values[best - 1] - users_deny
     grants = np.zeros(n, dtype=bool)
-    chosen_splits = np.full(n, scenario.pai.n_total)
-    if best > 0:
-        gains = values[best - 1] - users_deny
-        ranked = np.argsort(-gains, kind="stable")[:best]
-        grants[users[ranked]] = True
-        chosen_splits[users[ranked]] = splits[best - 1, ranked]
-    return decision_of(grants, chosen_splits, scenario.pai.n_total)
+    grants[users[np.argsort(-gains, kind="stable")[:best]]] = True
+    granted_splits = np.zeros(n, dtype=np.int64)
+    granted_splits[users] = splits[best - 1]
+    return decision_of(grants, granted_splits, scenario.pai.n_total)
 
 
 EXHAUSTIVE_LIMIT = 15

@@ -13,12 +13,13 @@ import csv
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import baselines
-from .costmodel import CostModel
+from .costmodel import Breakdown, CostModel
 from .dqn import ScenarioSource, TrainHyper, greedy_solve, load_policy, save_policy, train
 from .qoe import ContractError, Decision, objective
 from .scenario import (
@@ -116,7 +117,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-LATENCY_PARTS = ("rtt", "uplink_downlink", "edge_compute", "local_compute", "total")
+LATENCY_PARTS = tuple(f.name for f in fields(Breakdown) if f.name != "pai_term")
 
 
 def _decision_dict(scenario: Scenario, decision: Decision, solver: str, obj: float) -> dict:

@@ -8,11 +8,12 @@ operations of the scalar :func:`qoe.e2e_latency` in the same order and the
 accuracy curve is tabulated with :func:`scenario.fitted_pai` itself, so
 each cell equals the scalar reference bit for bit. Optimal splits follow
 the case analysis of the reference :func:`split.optimal_split`, with the
-interior root in closed form. Their temporaries live in a workspace kept
-between calls, so filling a grid no larger than an earlier one allocates
-only the grids it returns.
+interior root in closed form. Every grid they fill, the two returned ones
+included, is a view into a workspace kept between calls, so filling a grid
+no larger than an earlier one allocates nothing, and the next call on the
+same thread overwrites it.
 
-:class:`SplitTable` fills those grids once per scenario and serves the
+:class:`SplitTable` copies those grids once per scenario and serves the
 decisions that need optimal splits at many grant counts: the baselines,
 the genetic algorithm and the exhaustive oracle.
 """
@@ -25,8 +26,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qoe import ContractError, Decision, DecisionEntry
-from .scenario import EdgeConfig, PaiParams, Scenario, fitted_pai, step_latency_local
+from .qoe import ContractError, Decision, DecisionEntry, all_local_decision
+from .scenario import (
+    EdgeConfig,
+    PaiParams,
+    Scenario,
+    ValidationError,
+    fitted_pai,
+    step_latency_local,
+)
 
 
 @lru_cache(maxsize=8)
@@ -190,21 +198,19 @@ class CostModel:
         scratch *= self.alpha
         return np.subtract(scratch, out, out=out)
 
-    def optimal_splits(self, counts: np.ndarray,
-                       transient: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    def optimal_splits(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(k, I) optimal splits and their values; row j holds a round of
         ``counts[j]`` grants, for a (k,) int array of grant counts.
 
-        Every grid but the two returned ones lives in a workspace kept
-        between calls (`_grid_scratch`), so a call no larger than an earlier
-        one allocates no grid but its results. A `transient` call returns
-        views into that workspace too, which the next call on the same
-        thread overwrites; it is for callers that are done with the grids
-        before they fill another.
+        Both grids are views into the workspace kept between calls
+        (`_grid_scratch`), as are its temporaries, so a call no larger than
+        an earlier one allocates no grid. The next call on the same thread
+        overwrites them: a caller that keeps them copies them, as
+        `SplitTable` does.
         """
         pai = self.pai
         m = np.asarray(counts).reshape(-1, 1)
-        delta, root, upper, head, kept_splits, kept_values, top, low = _grid_scratch(
+        delta, root, upper, head, splits, values, top, low = _grid_scratch(
             (len(m), len(self.alpha)))
         edge_step = self.edge_step(m)
         np.subtract(self.local_step, edge_step, out=delta)
@@ -223,7 +229,7 @@ class CostModel:
         # Splits are held as whole-number floats, so _granted casts no ints. The
         # root is taken on the whole grid, and the saturated cells are then set
         # to their bound, n_min first so that `top` overrides it.
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             lo = np.floor(stationary_point(self.alpha, delta, pai, out=(upper, root)), out=root)
             np.clip(lo, pai.n_min, pai.n_total, out=lo)
         hi = np.minimum(np.add(lo, 1.0, out=upper), pai.n_total, out=upper)
@@ -233,11 +239,8 @@ class CostModel:
                 np.copyto(hi, float(bound), where=mask)
 
         self._head(m, out=head)
-        if transient:
-            splits, values = kept_splits.view(np.int64), kept_values
-            np.copyto(splits, lo, casting="unsafe")
-        else:
-            splits, values = lo.astype(np.int64), np.empty(lo.shape)
+        splits = splits.view(np.int64)
+        np.copyto(splits, lo, casting="unsafe")
         self._granted(lo, splits, head, edge_step, values, delta)
         index = lo.view(np.int64)  # lo is spent
         np.copyto(index, hi, casting="unsafe")
@@ -252,20 +255,63 @@ class CostModel:
         return splits, values
 
 
+def require_finite_model(scenario: Scenario) -> None:
+    """Raise `ValidationError` unless the scenario's model stays in floating-point range.
+
+    Each user's value denied, and granted at one and at ``scenario.cap``
+    grants at splits n_min and n_total, must be finite, and so must the sum
+    of their magnitudes. A latency grows with the grant count and is linear
+    in the split, so these bound every value and objective a solver sums.
+    The error names the first user whose value is not finite (else the one
+    of largest magnitude) and the field that pushes that user's value
+    furthest: alpha, or one of the fields their latency grows with. Each is
+    weighed by its value, except the slot duration by the wait it scales
+    and a bandwidth or spectral efficiency by its reciprocal.
+    """
+    pai, edge, cap = scenario.pai, scenario.edge, scenario.cap
+    with np.errstate(over="ignore", invalid="ignore"):
+        model = CostModel.from_scenario(scenario)
+        values = [model.denied()]
+        if cap:
+            splits = np.repeat([[pai.n_min], [pai.n_total]], 2, axis=0)
+            values.extend(model.granted(splits, [1, cap, 1, cap]))
+        magnitude = np.abs(values).max(axis=0)
+        if np.isfinite(magnitude.sum()):
+            return
+        user = int(np.argmax(np.nan_to_num(magnitude, nan=np.inf)))
+        u, path = scenario.users[user], f"users[{user}]"
+        push = {f"{path}.alpha": (u.alpha, u.alpha),
+                "edge.slot_duration": (model.rtt[user], edge.slot_duration),
+                f"{path}.device.step_slope": (u.device.step_slope,) * 2,
+                f"{path}.device.step_intercept": (u.device.step_intercept,) * 2}
+        if cap:
+            push.update({f"{path}.prompt_bits": (u.prompt_bits,) * 2,
+                         f"{path}.intermediate_bits": (u.intermediate_bits,) * 2,
+                         "edge.bandwidth_hz": (1 / edge.bandwidth_hz, edge.bandwidth_hz),
+                         "edge.spectral_efficiency": (1 / edge.spectral_efficiency,
+                                                      edge.spectral_efficiency),
+                         "edge.device.step_slope": (edge.device.step_slope,) * 2,
+                         "edge.device.step_intercept": (edge.device.step_intercept,) * 2})
+    name = max(push, key=lambda key: push[key][0])
+    raise ValidationError(
+        f"{name}: {push[name][1]!r} puts the model of user {user} out of floating-point range")
+
+
 class SplitTable:
     """Optimal splits and values for every user and grant count, filled once.
 
-    ``splits`` and ``values`` are (cap, I) grids whose row m - 1 holds a
-    round of m grants, for m = 1..cap with cap = min(I, b_max); ``deny``
-    holds each user's fully local value.
+    ``splits`` and ``values`` are (cap, I) grids, copied out of the
+    workspace, whose row m - 1 holds a round of m grants, for m = 1..cap
+    with cap = ``scenario.cap``; ``deny`` holds each user's fully local value.
     """
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self.cap = min(scenario.user_count, scenario.edge.b_max)
+        self.cap = scenario.cap
         model = CostModel.from_scenario(scenario)
         self.deny = model.denied()
-        self.splits, self.values = model.optimal_splits(np.arange(1, self.cap + 1))
+        splits, values = model.optimal_splits(np.arange(1, self.cap + 1))
+        self.splits, self.values = splits.copy(), values.copy()
 
     def granted(self, user_idx: int, m: int) -> tuple[int, float]:
         """(optimal split, QoE) for user granted within a round of m grants."""
@@ -280,13 +326,10 @@ class SplitTable:
         """Each user's grant flag and optimal split under a grant vector."""
         grants = np.asarray(grants, dtype=bool)
         m = int(np.count_nonzero(grants))
-        n_total = self.scenario.pai.n_total
         if m == 0:
-            splits = np.full(grants.shape, n_total)
-        else:
-            self._check_count(m)
-            splits = np.where(grants, self.splits[m - 1], n_total)
-        return decision_of(grants, splits, n_total)
+            return all_local_decision(self.scenario)
+        self._check_count(m)
+        return decision_of(grants, self.splits[m - 1], self.scenario.pai.n_total)
 
     def value(self, grants) -> float:
         return float(self.row_values([grants])[0])
@@ -315,10 +358,11 @@ def _decision_entries(n_total: int) -> tuple[DecisionEntry, ...]:
                  for split in range(n_total + 1) for granted in (False, True))
 
 
-def decision_of(grants: np.ndarray, splits: np.ndarray, n_total: int) -> Decision:
-    """The decision with each user's grant flag and split, from two (I,) arrays
-    of splits in 0..n_total."""
-    keys = 2 * splits + grants
+def decision_of(grants: np.ndarray, splits, n_total: int) -> Decision:
+    """The decision that grants the users of the (I,) mask `grants` at
+    `splits`, an (I,) row or one split in 0..n_total, and runs everyone else
+    fully local (constraint C4); a denied user's entry of `splits` is unread."""
+    keys = np.where(grants, 2 * splits + 1, 2 * n_total)
     return Decision(entries=list(map(_decision_entries(n_total).__getitem__, keys.tolist())))
 
 

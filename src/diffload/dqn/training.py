@@ -387,7 +387,7 @@ def greedy_solve(policy: TrainedPolicy, scenario: Scenario) -> Decision:
     if scenario.user_count > policy.i_max:
         raise ContractError(
             f"scenario has {scenario.user_count} users; policy capacity is {policy.i_max}")
-    if scenario.user_count == 0 or scenario.edge.b_max < 1:
+    if scenario.cap == 0:
         return all_local_decision(scenario)
     return decision_from_state(greedy_rollout(policy, scenario)[0])
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costmodel import CostModel, decision_of, sequential_sum
-from .qoe import ContractError, Decision
+from .qoe import ContractError, Decision, all_local_decision
 from .scenario import Scenario, ValidationError, step_latency_local
 
 PENDING = 0
@@ -213,18 +213,16 @@ def run_episode(scenario: Scenario, policy, i_max: int,
 def decision_from_state(state: EnvState) -> Decision:
     """The state's final grant/deny vector, in user-id order, with the optimal
     splits. Only the final grant count's row of the split grid is solved; at
-    no grants everyone runs locally."""
+    no grants everyone runs locally, and no grid is solved."""
     if not state.done:
         raise ContractError("episode has not terminated")
+    if not state.granted:
+        return all_local_decision(state.scenario)
     grants = np.zeros(state.user_count, dtype=bool)
     grants[list(state.user_ids)] = [status == GRANTED for status in state.statuses]
-    n_total = state.scenario.pai.n_total
-    splits = np.full(state.user_count, n_total)
-    if state.granted:
-        model = CostModel.from_scenario(state.scenario)
-        at_count, _ = model.optimal_splits(np.array([state.granted]), transient=True)
-        splits = np.where(grants, at_count[0], n_total)
-    return decision_of(grants, splits, n_total)
+    model = CostModel.from_scenario(state.scenario)
+    at_count, _ = model.optimal_splits(np.array([state.granted]))
+    return decision_of(grants, at_count[0], state.scenario.pai.n_total)
 
 
 def assign_rewards(episode: EpisodeRecord) -> list[float]:

@@ -132,6 +132,7 @@ def objective(scenario: Scenario, decision: Decision, validate: bool = True) -> 
 
 
 def all_local_decision(scenario: Scenario) -> Decision:
-    """The fully local decision: every user denied, split at n_total."""
-    n = scenario.pai.n_total
-    return Decision(entries=[DecisionEntry(granted=False, split=n) for _ in scenario.users])
+    """The fully local decision: every user denied, split at n_total. Entries
+    are frozen, so every user shares one."""
+    return Decision(entries=[DecisionEntry(granted=False, split=scenario.pai.n_total)]
+                    * scenario.user_count)

@@ -182,6 +182,11 @@ class Scenario:
     def user_count(self) -> int:
         return len(self.users)
 
+    @property
+    def cap(self) -> int:
+        """The most users one round can grant: the user count or b_max, the smaller."""
+        return min(len(self.users), self.edge.b_max)
+
 
 # Default GPU catalog. The per-step constants are illustrative fits in the
 # style of vendor batching curves, chosen so that the edge profile at batch 20
@@ -432,6 +437,11 @@ def save_scenario(s: Scenario, path: str | Path) -> None:
 
 
 def load_scenario(path: str | Path) -> Scenario:
+    """Read a scenario file; every malformed file, and every scenario whose
+    model leaves floating-point range (`costmodel.require_finite_model`),
+    raises `ValidationError`."""
+    from .costmodel import require_finite_model  # costmodel imports this module
+
     path = Path(path)
     try:
         obj = json.loads(path.read_text())
@@ -439,4 +449,6 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ValidationError(f"{path}: not valid JSON at line {e.lineno}: {e.msg}") from e
     except UnicodeDecodeError as e:
         raise ValidationError(f"{path}: not valid JSON ({e})") from e
-    return scenario_from_dict(obj)
+    scenario = scenario_from_dict(obj)
+    require_finite_model(scenario)
+    return scenario

@@ -210,6 +210,58 @@ def test_solve_count_beyond_int64_is_clean_error(tmp_path, scenario_file, capsys
         "error: edge.slots_per_interval: must be an integer within int64")
     assert not (tmp_path / "d.json").exists()
 
+
+def set_field(obj, field, value):
+    """Set the number at a dotted field path such as ``users[0].device.step_slope``."""
+    *parents, leaf = field.replace("[0]", ".0").split(".")
+    for key in parents:
+        obj = obj[int(key)] if key.isdigit() else obj[key]
+    obj[leaf] = value
+
+
+# Each finite value that takes a user's modelled latency out of floating-point
+# range; solvers used to write an objective of -Infinity or raise on them.
+OUT_OF_RANGE = [
+    ("users[0].device.step_slope", 1e308),
+    ("users[0].device.step_intercept", 1e308),
+    ("edge.slot_duration", 1e308),
+    ("edge.bandwidth_hz", 1e-308),
+    ("edge.spectral_efficiency", 1e-308),
+    ("users[0].prompt_bits", 1e308),
+    ("users[0].intermediate_bits", 1e308),
+    ("edge.device.step_slope", 1e308),
+    ("edge.device.step_intercept", 1e308),
+]
+
+
+@pytest.mark.parametrize("command", ["solve", "train"])
+@pytest.mark.parametrize("field, value", OUT_OF_RANGE)
+def test_a_model_out_of_floating_point_range_is_clean_error(tmp_path, scenario_file, capsys,
+                                                            command, field, value):
+    obj = json.loads(scenario_file.read_text())
+    set_field(obj, field, value)
+    path, out = tmp_path / "extreme.json", tmp_path / "out.json"
+    path.write_text(json.dumps(obj))
+    argv = (["solve", path, "--solver", "oracle"] if command == "solve" else
+            ["train", "--scope", "specific", "--seed", 1, "--episodes", 1, "--scenario", path])
+    assert run([*argv, "-o", out]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: {value!r} puts the model of")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("solver", ["oracle", "b1", "ga", "bnb"])
+def test_every_device_at_1e308_is_clean_error(tmp_path, scenario_file, capsys, solver):
+    # Each of these solvers used to raise (IndexError, or AssertionError in bnb).
+    obj = json.loads(scenario_file.read_text())
+    for device in [user["device"] for user in obj["users"]] + [obj["edge"]["device"]]:
+        device.update(step_slope=1e308, step_intercept=1e308)
+    obj["edge"]["gpus"] = 1
+    path = tmp_path / "extreme.json"
+    path.write_text(json.dumps(obj))
+    assert run(["solve", path, "--solver", solver, "-o", tmp_path / "d.json"]) == 2
+    assert capsys.readouterr().err.startswith("error: users[0].device.step_slope: 1e+308 ")
+    assert not (tmp_path / "d.json").exists()
+
 @pytest.mark.parametrize("field, value", [
     ("i_max", 5.7), ("i_max", True), ("hidden[0]", [256.5, 256, 256]), ("seed", 1.5),
     ("episodes", "1"),

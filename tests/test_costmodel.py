@@ -253,16 +253,15 @@ def fresh_grids(model, counts):
         return pool.submit(model.optimal_splits, counts).result()
 
 
-@pytest.mark.parametrize("transient", [False, True])
-def test_grids_after_a_larger_and_a_smaller_call_equal_fresh_ones(transient):
+def test_grids_after_a_larger_and_a_smaller_call_equal_fresh_ones():
     rng = np.random.default_rng(21)
     model = CostModel.from_scenario(wide_scenario(rng, users=30, b_max=12))
     counts = np.arange(1, 13)
     expected = fresh_grids(model, counts)
     for users, b_max in ((80, 40), (5, 3)):
         other = CostModel.from_scenario(wide_scenario(rng, users=users, b_max=b_max))
-        other.optimal_splits(np.arange(1, b_max + 1), transient)
-        for got, want in zip(model.optimal_splits(counts, transient), expected):
+        other.optimal_splits(np.arange(1, b_max + 1))
+        for got, want in zip(model.optimal_splits(counts), expected):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
@@ -272,8 +271,7 @@ def test_split_table_grids_survive_later_grid_calls():
     splits, values = table.splits.copy(), table.values.copy()
     for users, b_max in ((80, 40), (30, 12), (5, 3)):
         scenario = wide_scenario(rng, users=users, b_max=b_max)
-        for transient in (False, True):
-            CostModel.from_scenario(scenario).optimal_splits(np.arange(1, b_max + 1), transient)
+        CostModel.from_scenario(scenario).optimal_splits(np.arange(1, b_max + 1))
         SplitTable(scenario)
         solve_count_oracle(scenario)
     assert np.array_equal(table.splits, splits) and np.array_equal(table.values, values)
@@ -355,13 +353,16 @@ def test_accuracy_table_is_shared_and_read_only():
         a.accuracy[0] = 0.5
 
 
-# Each scalar-model function and the modules allowed to call it; every other
-# module reads the cost model.
-SCALAR_MODEL_CALLERS = {
+# Each guarded function and the modules allowed to call it. Every other module
+# reads the scalar model through the cost model. The grids `optimal_splits`
+# returns are workspace views that the next call overwrites, so a new caller
+# needs a review of how long it holds them.
+ALLOWED_CALLERS = {
     "e2e_latency": {"qoe.py", "split.py"},
     "user_qoe": {"qoe.py", "split.py"},
     "optimal_split": {"qoe.py", "split.py"},
     "fitted_pai": {"scenario.py", "costmodel.py", "qoe.py", "split.py"},
+    "optimal_splits": {"costmodel.py", "baselines.py", "env.py"},
 }
 
 
@@ -375,6 +376,6 @@ def test_only_the_reference_modules_call_the_scalar_model():
                 continue
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in SCALAR_MODEL_CALLERS and module not in SCALAR_MODEL_CALLERS[name]:
+            if name in ALLOWED_CALLERS and module not in ALLOWED_CALLERS[name]:
                 calls.append(f"{module}:{node.lineno} calls {name}")
     assert calls == []

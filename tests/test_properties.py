@@ -10,10 +10,13 @@ against exhaustive enumeration and branch and bound against the
 fixed-split optimum; on scenarios large enough for its pre-pass to drop
 users, the oracle is checked against the per-m sort reference, and the
 pre-pass must keep every user who can enter a top-m set. A user's gain
-never grows with the grant count, which the pre-pass rests on. The draws
-are derandomized, so that every run sees the same ones.
+never grows with the grant count, which the pre-pass rests on. A scenario
+file with one number set to an extreme finite value is either rejected or
+solved by every solver with a finite objective. The draws are
+derandomized, so that every run sees the same ones.
 """
 
+import json
 import math
 from dataclasses import replace
 
@@ -25,6 +28,7 @@ from hypothesis import strategies as st
 from diffload.baselines import (
     PRUNE_MIN_CELLS,
     PRUNE_STEP,
+    SOLVERS,
     BnbStats,
     GaConfig,
     SplitTable,
@@ -40,7 +44,15 @@ from diffload.baselines import (
 from diffload.costmodel import CostModel
 from diffload.dqn import ScenarioSource, TrainHyper, greedy_solve, train
 from diffload.qoe import objective, validate_decision
-from diffload.scenario import GeneratorConfig, PaiParams, default_edge, generate_scenario
+from diffload.scenario import (
+    GeneratorConfig,
+    PaiParams,
+    ValidationError,
+    default_edge,
+    generate_scenario,
+    load_scenario,
+    scenario_to_dict,
+)
 from test_costmodel import per_m_sort_oracle, wide_scenario
 
 MAX_USERS = 10  # exhaustive enumeration and the policy's capacity
@@ -241,3 +253,52 @@ def test_pre_pass_keeps_every_top_m_user_with_ties_at_a_checkpoint(scenario):
     grants = [e.granted for e in decision.entries]
     assert {i for i, granted in enumerate(grants) if granted} == per_m_sort_oracle(scenario)
     assert decision == SplitTable(scenario).decision(grants)
+
+
+# The scenario file of `generate --seed 3 --users 5`, and the extreme finite
+# values a number in it is set to: the int64 ends for a count, else 1e±308.
+EXTREME_BASE = scenario_to_dict(generate_scenario(3, GeneratorConfig(user_count=5),
+                                                  default_edge(), PaiParams()))
+EXTREME_COUNTS = (-2**63, 2**63 - 1)
+EXTREME_FLOATS = (1e308, -1e308, 1e-308, -1e-308)
+
+
+def numeric_paths(obj, path=()):
+    """The key path of every number in a JSON object, with whether it is a count."""
+    items = enumerate(obj) if isinstance(obj, list) else obj.items()
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from numeric_paths(value, (*path, key))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield (*path, key), isinstance(value, int)
+
+
+@st.composite
+def files_with_one_extreme_number(draw):
+    """EXTREME_BASE with one number set to an extreme value, and that number's path."""
+    path, is_count = draw(st.sampled_from(list(numeric_paths(EXTREME_BASE))))
+    obj = json.loads(json.dumps(EXTREME_BASE))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = draw(st.sampled_from(EXTREME_COUNTS if is_count else EXTREME_FLOATS))
+    return obj, path
+
+
+@pytest.fixture(scope="module")
+def scenario_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("extreme") / "scenario.json"
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(edit=files_with_one_extreme_number())
+def test_one_extreme_number_is_rejected_or_every_solver_stays_finite(scenario_path, edit):
+    obj, path = edit
+    scenario_path.write_text(json.dumps(obj))
+    try:
+        scenario = load_scenario(scenario_path)
+    except ValidationError:
+        return
+    for name, solve in SOLVERS.items():
+        value = objective(scenario, solve(scenario, rng=np.random.default_rng(0)))
+        assert math.isfinite(value), (path, name, value)

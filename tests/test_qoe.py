@@ -109,6 +109,18 @@ def test_compose_pai_examples():
     assert compose_pai(0.7, 0.2, pai) == pytest.approx(2.000405666327110, rel=1e-12)
 
 
+@pytest.mark.parametrize("clip, lpips, pai", [
+    (0.0, 0.0, PaiParams()),
+    (1.0, 0.0, PaiParams()),
+    (0.62, 0.37, PaiParams()),
+    (0.25, 2.5, PaiParams(kappa_pai=1.7, sigma_a=4.0, sigma_b=0.8)),
+    (0.9, 0.05, PaiParams(kappa_pai=0.5, sigma_a=-12.0, sigma_b=-0.3)),
+])
+def test_compose_pai_is_the_gated_clip_score(clip, lpips, pai):
+    gate = 1 / (1 + math.exp(-pai.sigma_a * (lpips - pai.sigma_b)))
+    assert compose_pai(clip, lpips, pai) == pai.kappa_pai * clip * gate
+
+
 def test_compose_pai_rejects_bad_inputs():
     with pytest.raises(ContractError):
         compose_pai(1.5, 0.1, PaiParams())
