@@ -253,12 +253,14 @@ def fresh_grids(model, counts):
         return pool.submit(model.optimal_splits, counts).result()
 
 
-def test_grids_after_a_larger_and_a_smaller_call_equal_fresh_ones():
+@pytest.mark.parametrize("smaller_first", [False, True])
+def test_grids_after_a_larger_and_a_smaller_call_equal_fresh_ones(smaller_first):
     rng = np.random.default_rng(21)
     model = CostModel.from_scenario(wide_scenario(rng, users=30, b_max=12))
     counts = np.arange(1, 13)
     expected = fresh_grids(model, counts)
-    for users, b_max in ((80, 40), (5, 3)):
+    others = ((80, 40), (5, 3))
+    for users, b_max in others[::-1] if smaller_first else others:
         other = CostModel.from_scenario(wide_scenario(rng, users=users, b_max=b_max))
         other.optimal_splits(np.arange(1, b_max + 1))
         for got, want in zip(model.optimal_splits(counts), expected):
