@@ -27,8 +27,9 @@ from .scenario import (
     default_edge,
     generate_scenario,
     load_scenario,
+    marginal_pai_rate,
     save_scenario,
 )
-from .split import SplitResult, marginal_pai_rate, optimal_split
+from .split import SplitResult, optimal_split
 
 __version__ = "0.1.0"

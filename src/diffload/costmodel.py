@@ -33,6 +33,9 @@ from .scenario import (
     Scenario,
     ValidationError,
     fitted_pai,
+    marginal_pai_rate,
+    stationary_point,
+    step_latency_edge,
     step_latency_local,
 )
 
@@ -44,41 +47,6 @@ def _accuracy_table(pai: PaiParams) -> np.ndarray:
     table = np.array([fitted_pai(n, pai) for n in range(pai.n_total + 1)])
     table.setflags(write=False)
     return table
-
-
-def stationary_point(alpha, delta, pai: PaiParams, out=None):
-    """The split n > b_f at which the marginal accuracy rate equals `delta`.
-
-    The rate is alpha * a_f * F(n)(1 - F(n)), so F(1 - F) = c with
-    c = delta / (alpha * a_f) gives the upper branch
-    F* = (1 + sqrt(1 - 4c)) / 2, and n* = b_f + logit(F*) / a_f. Since
-    1 - F* = c / F*, the logit is log(F*^2 / c), which avoids the
-    cancellation in 1 - F* when c is small. Requires 0 < c <= 1/4, which
-    holds whenever the rate at n_min exceeds delta > 0; takes scalars or
-    arrays alike. Cells outside that interior (delta <= 0, or c out of
-    range) may give nan or inf, and the caller discards them.
-
-    `out`, when given, is a pair of float arrays of the broadcast shape:
-    c is written to the first and n* to the second, which is returned, and
-    no other array of that shape is made.
-    """
-    if out is None:
-        shape = np.broadcast_shapes(np.shape(alpha), np.shape(delta))
-        out = np.empty(shape), np.empty(shape)
-    c, n = out
-    np.divide(delta, np.multiply(alpha, pai.a_f), out=c)
-    np.multiply(c, 4.0, out=n)
-    np.subtract(1.0, n, out=n)
-    np.maximum(n, 0.0, out=n)
-    np.sqrt(n, out=n)
-    n += 1.0
-    n /= 2.0  # F*
-    n *= n
-    n /= c
-    np.log(n, out=n)
-    n /= pai.a_f
-    n += pai.b_f
-    return n
 
 
 _workspace = threading.local()
@@ -139,9 +107,8 @@ class CostModel:
                        rtt=self.rtt[users], payload=self.payload[users])
 
     def edge_step(self, m):
-        """Per-step edge latency at batch size m, as in qoe.step_latency_edge."""
-        device = self.edge.device
-        return device.step_slope * (np.asarray(m) / self.edge.gpus) + device.step_intercept
+        """Per-step edge latency at batch size m, a grant count or an array of them."""
+        return step_latency_edge(self.edge.device, np.asarray(m), self.edge.gpus)
 
     def denied(self) -> np.ndarray:
         """(I,) value of each user run fully locally."""
@@ -215,16 +182,12 @@ class CostModel:
         edge_step = self.edge_step(m)
         np.subtract(self.local_step, edge_step, out=delta)
 
-        def rate(n):
-            f = self.accuracy[n]
-            return self.alpha * pai.a_f * f * (1.0 - f)
-
         # The cases of split.optimal_split, tested in its order. Local dominates
         # (delta <= 0) or the accuracy term saturates: every step stays local.
         # Otherwise the latency term saturates: n_min. Otherwise the interior root.
-        np.greater_equal(rate(pai.n_total), delta, out=top)
+        np.greater_equal(marginal_pai_rate(pai.n_total, self.alpha, pai), delta, out=top)
         top |= np.less_equal(delta, 0.0, out=low)
-        np.less_equal(rate(pai.n_min), delta, out=low)
+        np.less_equal(marginal_pai_rate(pai.n_min, self.alpha, pai), delta, out=low)
 
         # Splits are held as whole-number floats, so _granted casts no ints. The
         # root is taken on the whole grid, and the saturated cells are then set

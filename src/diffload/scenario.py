@@ -135,7 +135,7 @@ class PaiParams:
         # The alpha band divides by the slope at both ends (see `alpha_band`);
         # a steep curve rounds F(n_total) to 1 and the slope there to 0.
         for split in (self.n_min, self.n_total):
-            slope = fitted_pai_slope(split, self)
+            slope = marginal_pai_rate(split, 1.0, self)
             _require(0 < slope < math.inf, "a_f",
                      "fitted curve slope a_f*F*(1-F) at n = {} must be finite and > 0, got {}",
                      split, slope)
@@ -156,10 +156,46 @@ def fitted_pai(split: float, pai: PaiParams) -> float:
     return 1.0 / (1.0 + math.exp(-pai.a_f * (split - pai.b_f)))
 
 
-def fitted_pai_slope(split: float, pai: PaiParams) -> float:
-    """Slope of the fitted curve, dF/dn = a_f * F(n) * (1 - F(n))."""
-    f = fitted_pai(split, pai)
-    return pai.a_f * f * (1.0 - f)
+def marginal_pai_rate(n: float, alpha, pai: PaiParams):
+    """Marginal accuracy gain per extra local step, alpha * a_f * F(n)(1 - F(n)),
+    for one weight or an array of them; at alpha 1.0 it is the slope dF/dn."""
+    f = fitted_pai(n, pai)
+    return alpha * pai.a_f * f * (1.0 - f)
+
+
+def stationary_point(alpha, delta, pai: PaiParams, out=None):
+    """The split n > b_f at which the marginal accuracy rate equals `delta`.
+
+    The rate is alpha * a_f * F(n)(1 - F(n)), so F(1 - F) = c with
+    c = delta / (alpha * a_f) gives the upper branch
+    F* = (1 + sqrt(1 - 4c)) / 2, and n* = b_f + logit(F*) / a_f. Since
+    1 - F* = c / F*, the logit is log(F*^2 / c), which avoids the
+    cancellation in 1 - F* when c is small. Requires 0 < c <= 1/4, which
+    holds whenever the rate at n_min exceeds delta > 0; takes scalars or
+    arrays alike. Cells outside that interior (delta <= 0, or c out of
+    range) may give nan or inf, and the caller discards them.
+
+    `out`, when given, is a pair of float arrays of the broadcast shape:
+    c is written to the first and n* to the second, which is returned, and
+    no other array of that shape is made.
+    """
+    if out is None:
+        shape = np.broadcast_shapes(np.shape(alpha), np.shape(delta))
+        out = np.empty(shape), np.empty(shape)
+    c, n = out
+    np.divide(delta, np.multiply(alpha, pai.a_f), out=c)
+    np.multiply(c, 4.0, out=n)
+    np.subtract(1.0, n, out=n)
+    np.maximum(n, 0.0, out=n)
+    np.sqrt(n, out=n)
+    n += 1.0
+    n /= 2.0  # F*
+    n *= n
+    n /= c
+    np.log(n, out=n)
+    n /= pai.a_f
+    n += pai.b_f
+    return n
 
 
 @dataclass(frozen=True)
@@ -272,7 +308,8 @@ def alpha_band(device: DeviceProfile, cfg: GeneratorConfig, edge: EdgeConfig,
     """Alpha sampling interval for one device; third element flags the clamp path."""
     gpus = cfg.alpha_ref_gpus if cfg.alpha_ref_gpus is not None else edge.gpus
     delta = step_latency_local(device) - step_latency_edge(edge.device, cfg.alpha_bhat, gpus)
-    lo_den, hi_den = fitted_pai_slope(pai.n_min, pai), fitted_pai_slope(pai.n_total, pai)
+    lo_den = marginal_pai_rate(pai.n_min, 1.0, pai)
+    hi_den = marginal_pai_rate(pai.n_total, 1.0, pai)
     if delta <= 0:
         # Local inference is already at least as fast as the edge at the
         # assumed batch; the trade-off band is empty. Fall back to the band's

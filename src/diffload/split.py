@@ -9,7 +9,7 @@ which is strictly concave on [n_min, n_total] because F > 0.5 there. The
 derivative of the accuracy term is g(n) = alpha * a_f * F(n) * (1 - F(n)),
 strictly decreasing on the domain, so the stationarity condition
 g(n) = delta, with delta = L_local - L_edge, has at most one root. It
-inverts in closed form (:func:`costmodel.stationary_point`), and the
+inverts in closed form (:func:`scenario.stationary_point`), and the
 integer optimum is the floor or the ceiling of that root by concavity.
 
 This is the scalar reference: no solver calls it, and the tests hold
@@ -20,10 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .costmodel import stationary_point
 from .qoe import DecisionEntry, user_qoe
-from .scenario import (EdgeConfig, PaiParams, UserRequest, fitted_pai, step_latency_edge,
-                       step_latency_local)
+from .scenario import (EdgeConfig, PaiParams, UserRequest, marginal_pai_rate, stationary_point,
+                       step_latency_edge, step_latency_local)
 
 LOCAL_DOMINATES = "local-dominates"
 PAI_SATURATED = "pai-saturated"
@@ -37,12 +36,6 @@ class SplitResult:
     continuous_root: float | None
     case: str
     inner_value: float  # the user's QoE at `split` given the grant count
-
-
-def marginal_pai_rate(n: float, alpha: float, pai: PaiParams) -> float:
-    """Marginal accuracy gain per extra local step: alpha * a_f * F(n)(1 - F(n))."""
-    f = fitted_pai(n, pai)
-    return alpha * pai.a_f * f * (1.0 - f)
 
 
 def optimal_split(user: UserRequest, granted_count: int, edge: EdgeConfig,

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from diffload.qoe import DecisionEntry, user_qoe
-from diffload.scenario import DeviceProfile, PaiParams, UserRequest, default_edge
+from diffload.scenario import (DeviceProfile, PaiParams, UserRequest, default_edge,
+                               marginal_pai_rate)
 from diffload.split import (
     INTERIOR_ROOT,
     LATENCY_SATURATED,
     LOCAL_DOMINATES,
     PAI_SATURATED,
-    marginal_pai_rate,
     optimal_split,
 )
 from dataclasses import replace
