@@ -21,6 +21,7 @@ import numpy as np
 from . import baselines
 from .costmodel import Breakdown, CostModel
 from .dqn import ScenarioSource, TrainHyper, greedy_solve, load_policy, save_policy, train
+from .dqn.training import SCOPES
 from .qoe import ContractError, Decision, objective
 from .scenario import (
     GeneratorConfig,
@@ -224,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("train", help="train a grant/deny policy")
-    p.add_argument("--scope", choices=["general", "gpu", "specific"], required=True)
+    p.add_argument("--scope", choices=SCOPES, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--episodes", type=int, required=True)
     p.add_argument("--users", type=int, default=20, help="user count (upper end for ranges)")

@@ -8,10 +8,13 @@ operations of the scalar :func:`qoe.e2e_latency` in the same order and the
 accuracy curve is tabulated with :func:`scenario.fitted_pai` itself, so
 each cell equals the scalar reference bit for bit. Optimal splits follow
 the case analysis of the reference :func:`split.optimal_split`, with the
-interior root in closed form. Every grid they fill, the two returned ones
-included, is a view into a workspace kept between calls, so filling a grid
-no larger than an earlier one allocates nothing, and the next call on the
-same thread overwrites it.
+same primitives: :func:`scenario.marginal_pai_rate` over the alpha vector
+decides the saturated cells, and its closed-form inverse
+:func:`scenario.stationary_point` gives the interior root on the whole
+grid. Every grid they fill, the two returned ones included, is a view
+into a workspace kept between calls, so filling a grid no larger than an
+earlier one allocates nothing, and the next call on the same thread
+overwrites it.
 
 :class:`SplitTable` copies those grids once per scenario and serves the
 decisions that need optimal splits at many grant counts: the baselines,

@@ -193,7 +193,9 @@ class ScenarioSource:
     general: per episode, redraw the user count, the edge GPU count, and the
       user population from a cycled pool of seeds.
     gpu: as general but with the edge GPU count held at the base config.
-    specific: one fixed scenario for every episode.
+    specific: one fixed scenario for every episode, `fixed_scenario` if
+      given, else one drawn from the base config. No other scope takes a
+      `fixed_scenario`.
     """
 
     scope: str
@@ -210,20 +212,24 @@ class ScenarioSource:
             raise ValidationError(f"scope: must be one of {SCOPES}, got {self.scope!r}")
         if self.scope != "specific" and not 1 <= self.user_range[0] <= self.user_range[1]:
             raise ValidationError(f"user_range: invalid {self.user_range}")
+        if self.fixed_scenario is not None and self.scope != "specific":
+            raise ValidationError(
+                f"fixed_scenario: only the specific scope trains on a fixed scenario, "
+                f"got scope {self.scope!r}")
         if self.fixed_scenario is not None and not self.fixed_scenario.users:
             raise ValidationError("users: scenario has no users")
 
     @property
     def i_max(self) -> int:
+        if self.fixed_scenario is not None:
+            return self.fixed_scenario.user_count
         if self.scope == "specific":
-            if self.fixed_scenario is not None:
-                return self.fixed_scenario.user_count
             return self.generator.user_count
         return self.user_range[1]
 
     def alpha_scale(self) -> float:
         """Normalization constant for the alpha feature, fixed per policy."""
-        if self.scope == "specific" and self.fixed_scenario is not None:
+        if self.fixed_scenario is not None:
             return max(u.alpha for u in self.fixed_scenario.users)
         gpus = max(GPU_CHOICES) if self.scope == "general" else self.edge.gpus
         edge = replace(self.edge, gpus=gpus)
@@ -232,7 +238,7 @@ class ScenarioSource:
         return max(hi for _, hi, _ in bands)
 
     def scenario_for_episode(self, episode: int) -> Scenario:
-        if self.scope == "specific" and self.fixed_scenario is not None:
+        if self.fixed_scenario is not None:
             return self.fixed_scenario
         key = episode % SEED_POOLS[self.scope]
         if key in self._cache:

@@ -5,8 +5,12 @@ offloading requests during the interval, the edge server configuration,
 and the parameters of the accuracy curve. Scenarios are plain values;
 generation and (de)serialization are deterministic given a seed. The
 model's primitives sit beside the parameters they read: the per-step
-latencies :func:`step_latency_local` and :func:`step_latency_edge`, and the
-fitted accuracy curve :func:`fitted_pai`.
+latencies :func:`step_latency_local` and :func:`step_latency_edge`, the
+fitted accuracy curve :func:`fitted_pai`, its marginal rate
+:func:`marginal_pai_rate`, and :func:`stationary_point`, the closed-form
+inverse of that rate. They are defined here only: the scalar reference
+:mod:`diffload.split` and the array model :mod:`diffload.costmodel` both
+read them from this module.
 
 Units are SI throughout: seconds, bits, Hz. The request timeline is
 discretized into ``slots_per_interval`` slots of ``slot_duration`` seconds

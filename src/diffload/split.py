@@ -8,12 +8,15 @@ of the split point n is
 which is strictly concave on [n_min, n_total] because F > 0.5 there. The
 derivative of the accuracy term is g(n) = alpha * a_f * F(n) * (1 - F(n)),
 strictly decreasing on the domain, so the stationarity condition
-g(n) = delta, with delta = L_local - L_edge, has at most one root. It
-inverts in closed form (:func:`scenario.stationary_point`), and the
-integer optimum is the floor or the ceiling of that root by concavity.
+g(n) = delta, with delta = L_local - L_edge, has at most one root. The
+rate g is :func:`scenario.marginal_pai_rate`, and its closed-form inverse
+is :func:`scenario.stationary_point`; the integer optimum is the floor or
+the ceiling of that root by concavity.
 
 This is the scalar reference: no solver calls it, and the tests hold
-:class:`costmodel.CostModel`, which solves all users at once, to it.
+:class:`costmodel.CostModel`, which solves all users at once, to it. It
+reads the model's primitives from :mod:`diffload.scenario`, and nothing
+from the cost model it is the reference for.
 """
 
 from __future__ import annotations

@@ -11,16 +11,15 @@ WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 160, 30, 50
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
+def _ticks(lo: float, hi: float) -> list[float]:
+    """Five evenly spaced ticks from lo to hi; `line_plot` has widened an empty axis."""
     span = hi - lo
-    return [lo + span * i / (count - 1) for i in range(count)]
+    return [lo + span * i / 4 for i in range(5)]
 
 
 def line_plot(series: dict[str, list[tuple[float, float]]], path: str | Path,
-              title: str = "", x_label: str = "", y_label: str = "") -> None:
-    """Write one SVG with a polyline per named series."""
+              title: str, x_label: str, y_label: str) -> None:
+    """Write one SVG with a polyline per named series, a title and both axis labels."""
     xs = [x for pts in series.values() for x, _ in pts]
     ys = [y for pts in series.values() for _, y in pts]
     if not xs:
@@ -49,9 +48,8 @@ def line_plot(series: dict[str, list[tuple[float, float]]], path: str | Path,
         f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="#444"/>',
     ]
-    if title:
-        parts.append(f'<text x="{WIDTH / 2}" y="20" text-anchor="middle" '
-                     f'font-size="14" font-family="sans-serif">{title}</text>')
+    parts.append(f'<text x="{WIDTH / 2}" y="20" text-anchor="middle" '
+                 f'font-size="14" font-family="sans-serif">{title}</text>')
     for tick in _ticks(x_lo, x_hi):
         x = px(tick)
         parts.append(f'<line x1="{x:.1f}" y1="{MARGIN_T + plot_h}" x2="{x:.1f}" '
@@ -64,14 +62,12 @@ def line_plot(series: dict[str, list[tuple[float, float]]], path: str | Path,
                      f'y2="{y:.1f}" stroke="#444"/>')
         parts.append(f'<text x="{MARGIN_L - 8}" y="{y + 4:.1f}" text-anchor="end" '
                      f'font-size="11" font-family="sans-serif">{tick:.6g}</text>')
-    if x_label:
-        parts.append(f'<text x="{MARGIN_L + plot_w / 2}" y="{HEIGHT - 10}" '
-                     f'text-anchor="middle" font-size="12" font-family="sans-serif">'
-                     f'{x_label}</text>')
-    if y_label:
-        parts.append(f'<text x="16" y="{MARGIN_T + plot_h / 2}" text-anchor="middle" '
-                     f'font-size="12" font-family="sans-serif" '
-                     f'transform="rotate(-90 16 {MARGIN_T + plot_h / 2})">{y_label}</text>')
+    parts.append(f'<text x="{MARGIN_L + plot_w / 2}" y="{HEIGHT - 10}" '
+                 f'text-anchor="middle" font-size="12" font-family="sans-serif">'
+                 f'{x_label}</text>')
+    parts.append(f'<text x="16" y="{MARGIN_T + plot_h / 2}" text-anchor="middle" '
+                 f'font-size="12" font-family="sans-serif" '
+                 f'transform="rotate(-90 16 {MARGIN_T + plot_h / 2})">{y_label}</text>')
     for idx, (name, pts) in enumerate(series.items()):
         color = PALETTE[idx % len(PALETTE)]
         coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in sorted(pts))

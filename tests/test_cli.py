@@ -478,6 +478,19 @@ def test_train_specific_ignores_the_user_range_of_other_scopes(tmp_path, capsys)
     assert "user_range: invalid (10, 3)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scope", ["gpu", "general"])
+def test_train_rejects_a_fixed_scenario_outside_the_specific_scope(tmp_path, capsys, scope):
+    # Only the specific scope trains on a fixed scenario; the others draw
+    # their own, so a --scenario given with them would be silently ignored.
+    scenario, out = tmp_path / "s.json", tmp_path / "p.json"
+    assert run(["generate", "--seed", 3, "--users", 5, "-o", scenario]) == 0
+    capsys.readouterr()
+    assert run(["train", "--scope", scope, "--seed", 1, "--episodes", 2, "--users", 6,
+                "--users-min", 3, "--scenario", scenario, "-o", out]) == 2
+    assert capsys.readouterr().err.startswith("error: fixed_scenario: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["generate", "--seed", -1, "--users", 5], "--seed"),
     (["solve", "SCENARIO", "--solver", "ga", "--seed", -1], "--seed"),
@@ -601,6 +614,17 @@ def test_sweep_plot_and_plot_command(tmp_path):
     replot = tmp_path / "replot"
     assert run(["plot", "--report", out / "report.csv", "-o", replot]) == 0
     assert (replot / "objective_vs_axis.svg").exists()
+
+
+def test_sweep_plot_keeps_its_bytes(tmp_path):
+    # SHA-256 of the plot of the sweep that test_sweep_files_keep_their_bytes
+    # pins, less the GA and branch and bound (x86-64 Linux, CPython 3.11,
+    # numpy 2.4).
+    assert run(["sweep", "--axis", "user_count", "--values", "4,7", "--cases", "2",
+                "--solvers", "b1,b2,b3,oracle", "--seed", 11, "--plot", "-o", tmp_path]) == 0
+    svg = (tmp_path / "objective_vs_axis.svg").read_bytes()
+    assert hashlib.sha256(svg).hexdigest() == (
+        "681e5e4e411dceb93a2589987e419229d04c42626a1652c2483013b9fc4116b6")
 
 
 def test_sweep_timing_column_zero_without_flag(tmp_path):

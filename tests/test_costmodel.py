@@ -364,6 +364,8 @@ ALLOWED_CALLERS = {
     "user_qoe": {"qoe.py", "split.py"},
     "optimal_split": {"qoe.py", "split.py"},
     "fitted_pai": {"scenario.py", "costmodel.py", "qoe.py", "split.py"},
+    "marginal_pai_rate": {"scenario.py", "costmodel.py", "split.py"},
+    "stationary_point": {"scenario.py", "costmodel.py", "split.py"},
     "optimal_splits": {"costmodel.py", "baselines.py", "env.py"},
 }
 
@@ -381,3 +383,48 @@ def test_only_the_reference_modules_call_the_scalar_model():
             if name in ALLOWED_CALLERS and module not in ALLOWED_CALLERS[name]:
                 calls.append(f"{module}:{node.lineno} calls {name}")
     assert calls == []
+
+
+# The model's primitives. Each is defined in scenario.py and nowhere else, and
+# the scalar reference split.py reads them from there, not from the array
+# model it is the reference for.
+PRIMITIVES = {"marginal_pai_rate", "stationary_point", "fitted_pai", "step_latency_local",
+              "step_latency_edge"}
+
+
+def _defined_names(tree):
+    """(line, name) of every function and every name bound by `=` in `tree`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            yield node.lineno, node.name
+        elif isinstance(node, ast.Assign):
+            yield from ((node.lineno, t.id) for t in node.targets if isinstance(t, ast.Name))
+
+
+def _imported_modules(tree):
+    """(line, module) of every module an import in `tree` names, `from . import x` as x."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+            yield from ((node.lineno, name) for name in names)
+
+
+def test_the_primitives_are_defined_in_scenario_only():
+    package = Path(diffload.__file__).parent
+    found, in_scenario = [], set()
+    for path in sorted(package.rglob("*.py")):
+        module = path.relative_to(package).as_posix()
+        tree = ast.parse(path.read_text())
+        for line, name in _defined_names(tree):
+            if name in PRIMITIVES and module == "scenario.py":
+                in_scenario.add(name)
+            elif name in PRIMITIVES:
+                found.append(f"{module}:{line} defines {name}")
+        if module == "split.py":
+            found.extend(f"{module}:{line} imports {name}"
+                         for line, name in _imported_modules(tree)
+                         if name.split(".")[-1] == "costmodel")
+    assert found == []
+    assert in_scenario == PRIMITIVES

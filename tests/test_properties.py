@@ -1,15 +1,15 @@
 """Property tests over every solver on randomly drawn scenarios.
 
-Scenarios come from seeded numpy draws that lean on the edges: no users,
-one user, no edge capacity, capacity equal to the user count, and a single
-edge GPU. Every solver's decision must be feasible with a finite objective,
-none may beat the count oracle, exhaustive enumeration must equal it, and
-branch and bound must reach the fixed-split optimum. On scenarios drawn
-by hypothesis, some with copied users, the count oracle is also checked
-against exhaustive enumeration and branch and bound against the
-fixed-split optimum; on scenarios large enough for its pre-pass to drop
-users, the oracle is checked against the per-m sort reference, and the
-pre-pass must keep every user who can enter a top-m set. A user's gain
+Scenarios drawn by hypothesis lean on the edges, and each edge is also an
+explicit example: no users, one user, no edge capacity, capacity equal to
+the user count, and a single edge GPU. Every solver's decision must be
+feasible with a finite objective, none may beat the count oracle,
+exhaustive enumeration must equal it, and branch and bound must reach the
+fixed-split optimum. On scenarios with copied users, the count oracle is
+also checked against exhaustive enumeration and branch and bound against
+the fixed-split optimum; on scenarios large enough for its pre-pass to
+drop users, the oracle is checked against the per-m sort reference, and
+the pre-pass must keep every user who can enter a top-m set. A user's gain
 never grows with the grant count, which the pre-pass rests on. A scenario
 file with one number set to an extreme finite value is either rejected or
 solved by every solver with a finite objective. The draws are
@@ -22,7 +22,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diffload.baselines import (
@@ -56,7 +56,6 @@ from diffload.scenario import (
 from test_costmodel import per_m_sort_oracle, wide_scenario
 
 MAX_USERS = 10  # exhaustive enumeration and the policy's capacity
-CASES = 300
 RELATIVE_TOL = 1e-9
 
 
@@ -68,23 +67,29 @@ def fixed_split_optimum(scenario):
     """Best objective with every grant at the minimum split: the top m gains, for each m."""
     model = CostModel.from_scenario(scenario)
     deny = model.denied()
-    cap = min(scenario.user_count, scenario.edge.b_max)
     best = float(deny.sum())
-    for m in range(1, cap + 1):
+    for m in range(1, scenario.cap + 1):
         gains = np.sort(model.granted(scenario.pai.n_min, [m])[0] - deny)[::-1]
         best = max(best, float(deny.sum() + gains[:m].sum()))
     return best
 
 
-def draw_scenario(rng):
-    """One scenario; each edge case turns up in about a quarter of the draws or more."""
-    users = int(rng.choice([0, 1, int(rng.integers(2, MAX_USERS + 1))], p=[0.2, 0.2, 0.6]))
-    b_max = int(rng.choice([0, users, int(rng.integers(0, users + 4))]))
-    gpus = int(rng.choice([1, 2, 4, 8, 16]))
-    seed = int(rng.integers(0, 2**31))
+def scenario_of(users, b_max, gpus, seed):
+    """A generated scenario of `users` users and the default edge with `gpus` and
+    `b_max`; a scenario of no users is a one-user scenario emptied."""
     scenario = generate_scenario(seed, GeneratorConfig(user_count=max(users, 1)),
                                  default_edge(gpus=gpus, b_max=b_max))
     return scenario if users else replace(scenario, users=[])
+
+
+@st.composite
+def edge_leaning_scenarios(draw):
+    """0 to MAX_USERS users and b_max 0 to users + 3; no users, one user, b_max 0
+    and b_max equal to the user count each take a branch of their own."""
+    users = draw(st.one_of(st.just(0), st.just(1), st.integers(2, MAX_USERS)))
+    b_max = draw(st.one_of(st.just(0), st.just(users), st.integers(0, users + 3)))
+    return scenario_of(users, b_max, draw(st.sampled_from([1, 2, 4, 8, 16])),
+                       draw(st.integers(0, 2**31 - 1)))
 
 
 @pytest.fixture(scope="module")
@@ -98,42 +103,35 @@ def policy():
     return train(source, hyper, seed=3).policy
 
 
-def test_draws_cover_the_edge_cases():
-    rng = np.random.default_rng(4242)
-    drawn = [draw_scenario(rng) for _ in range(CASES)]
-    assert any(s.user_count == 0 for s in drawn)
-    assert any(s.user_count == 1 for s in drawn)
-    assert any(s.user_count > 1 and s.edge.b_max == 0 for s in drawn)
-    assert any(s.user_count > 1 and s.edge.b_max == s.user_count for s in drawn)
-    assert any(s.edge.gpus == 1 for s in drawn)
-
-
-def test_every_solver_is_feasible_finite_and_bounded_by_the_oracle(policy):
-    rng = np.random.default_rng(4242)
-    for case in range(CASES):
-        scenario = draw_scenario(rng)
-        label = (case, scenario.seed, scenario.user_count, scenario.edge.b_max,
-                 scenario.edge.gpus)
-        oracle = objective(scenario, solve_count_oracle(scenario))
-        assert math.isfinite(oracle), label
-        decisions = {
-            "b1": baseline_all_offload_opt(scenario),
-            "b2": baseline_all_offload_fixed(scenario),
-            "b3": baseline_all_local(scenario),
-            "ga": solve_ga(scenario, GaConfig(population=12, iterations=6), rng=case),
-            "bnb": solve_bnb(scenario),
-            "exhaustive": solve_exhaustive(scenario),
-            "dqn": greedy_solve(policy, scenario),
-        }
-        for name, decision in decisions.items():
-            validate_decision(scenario, decision)
-            value = objective(scenario, decision)
-            assert math.isfinite(value), (name, label)
-            assert close_or_below(value, oracle), (name, value, oracle, label)
-        exhaustive = objective(scenario, decisions["exhaustive"])
-        assert close_or_below(oracle, exhaustive), (exhaustive, oracle, label)
-        bnb, fixed = objective(scenario, decisions["bnb"]), fixed_split_optimum(scenario)
-        assert close_or_below(fixed, bnb) and close_or_below(bnb, fixed), (bnb, fixed, label)
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(scenario=edge_leaning_scenarios())
+@example(scenario=scenario_of(0, 3, 8, 11))   # no users
+@example(scenario=scenario_of(1, 1, 4, 12))   # one user
+@example(scenario=scenario_of(6, 0, 8, 13))   # no edge capacity
+@example(scenario=scenario_of(7, 7, 2, 14))   # capacity equal to the user count
+@example(scenario=scenario_of(5, 3, 1, 15))   # one edge GPU
+def test_every_solver_is_feasible_finite_and_bounded_by_the_oracle(policy, scenario):
+    label = (scenario.seed, scenario.user_count, scenario.edge.b_max, scenario.edge.gpus)
+    oracle = objective(scenario, solve_count_oracle(scenario))
+    assert math.isfinite(oracle), label
+    decisions = {
+        "b1": baseline_all_offload_opt(scenario),
+        "b2": baseline_all_offload_fixed(scenario),
+        "b3": baseline_all_local(scenario),
+        "ga": solve_ga(scenario, GaConfig(population=12, iterations=6), rng=scenario.seed),
+        "bnb": solve_bnb(scenario),
+        "exhaustive": solve_exhaustive(scenario),
+        "dqn": greedy_solve(policy, scenario),
+    }
+    for name, decision in decisions.items():
+        validate_decision(scenario, decision)
+        value = objective(scenario, decision)
+        assert math.isfinite(value), (name, label)
+        assert close_or_below(value, oracle), (name, value, oracle, label)
+    exhaustive = objective(scenario, decisions["exhaustive"])
+    assert close_or_below(oracle, exhaustive), (exhaustive, oracle, label)
+    bnb, fixed = objective(scenario, decisions["bnb"]), fixed_split_optimum(scenario)
+    assert close_or_below(fixed, bnb) and close_or_below(bnb, fixed), (bnb, fixed, label)
 
 
 @st.composite
