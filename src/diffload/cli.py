@@ -16,11 +16,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
-from . import baselines
 from .costmodel import Breakdown, CostModel
-from .dqn import ScenarioSource, TrainHyper, greedy_solve, load_policy, save_policy, train
+from .dqn import ScenarioSource, TrainHyper, load_policy, save_policy, train
 from .dqn.training import SCOPES
 from .qoe import ContractError, Decision, objective
 from .scenario import (
@@ -37,9 +34,11 @@ from .svgplot import line_plot
 from .sweep import (
     DEFAULT_GPU_GRID,
     DEFAULT_USER_GRID,
+    SOLVER_NAMES,
     ExperimentConfig,
     read_report,
     run_sweep,
+    solve,
     summarize,
     write_report,
     write_summary,
@@ -139,12 +138,8 @@ def _decision_dict(scenario: Scenario, decision: Decision, solver: str, obj: flo
 
 def cmd_solve(args) -> int:
     scenario = load_scenario(args.scenario)
-    if args.solver == "dqn":
-        policy = load_policy(args.policy)
-        decision = greedy_solve(policy, scenario)
-    else:
-        rng = np.random.default_rng(args.seed)
-        decision = baselines.SOLVERS[args.solver](scenario, rng=rng)
+    policy = load_policy(args.policy) if args.solver == "dqn" else None
+    decision = solve(args.solver, scenario, args.seed, policy)
     obj = objective(scenario, decision)  # raises on infeasible output: a solver bug
     path = _resolve(args, "decision.json")
     path.write_text(json.dumps(_decision_dict(scenario, decision, args.solver, obj),
@@ -173,7 +168,6 @@ def cmd_sweep(args) -> int:
         cases=args.cases,
         generator=GeneratorConfig(user_count=base_users),
         edge=default_edge(gpus=args.gpus, b_max=args.b_max),
-        pai=PaiParams(),
         policy=policy,
         master_seed=args.seed,
         timing=args.timing,
@@ -195,7 +189,7 @@ def _plot_report(rows, directory: Path) -> None:
     axis = rows[0].axis if rows else "axis"
     for record in summarize(rows):
         solver, _, axis_value, _, mean, _ = record
-        series.setdefault(solver, []).append((float(axis_value), float(mean)))
+        series.setdefault(solver, []).append((float(axis_value), mean))
     line_plot(series, directory / "objective_vs_axis.svg",
               title="Mean objective per solver", x_label=axis,
               y_label="objective")
@@ -239,8 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve one scenario file")
     p.add_argument("scenario")
-    p.add_argument("--solver", required=True,
-                   choices=sorted(baselines.SOLVERS) + ["dqn"])
+    p.add_argument("--solver", required=True, choices=SOLVER_NAMES)
     p.add_argument("--policy", help="policy file (required for --solver dqn)")
     p.add_argument("--seed", type=int, default=0, help="seed for stochastic solvers")
     p.add_argument("--out", "-o", help="decision file (default decision.json)")

@@ -26,14 +26,16 @@ from . import baselines
 from .costmodel import CostModel, sequential_sum
 from .dqn import TrainedPolicy, greedy_solve
 from .qoe import Decision, objective
-from .scenario import (EdgeConfig, GeneratorConfig, PaiParams, Scenario, ValidationError,
-                       field_types, generate_scenario)
+from .scenario import (EdgeConfig, GeneratorConfig, Scenario, ValidationError, field_types,
+                       generate_scenario)
 
 SUMMARY_HEADER = ["solver", "axis", "axis_value", "cases", "mean_objective",
                   "ci95_halfwidth"]
 
 DEFAULT_USER_GRID = (10, 20, 30, 40, 50, 60)
 DEFAULT_GPU_GRID = (2, 4, 8, 16)
+
+SOLVER_NAMES = (*sorted(baselines.SOLVERS), "dqn")
 
 
 @dataclass(frozen=True)
@@ -43,7 +45,6 @@ class ExperimentConfig:
     solvers: tuple[str, ...]
     generator: GeneratorConfig
     edge: EdgeConfig
-    pai: PaiParams
     cases: int = 100
     policy: TrainedPolicy | None = None
     master_seed: int = 0
@@ -63,7 +64,7 @@ class ExperimentConfig:
         if len(set(self.solvers)) < len(self.solvers):
             raise ValidationError(f"solvers: must be distinct, got {self.solvers}")
         for s in self.solvers:
-            if s != "dqn" and s not in baselines.SOLVERS:
+            if s not in SOLVER_NAMES:
                 raise ValidationError(f"solvers: unknown solver {s!r}")
         if "dqn" in self.solvers and self.policy is None:
             raise ValidationError("solvers: dqn requires a policy")
@@ -103,7 +104,7 @@ def scenario_for_case(cfg: ExperimentConfig, axis_value: int, case_index: int) -
         # identical at every point of the GPU axis.
         generator = replace(generator, alpha_ref_gpus=edge.gpus)
         edge = replace(edge, gpus=axis_value)
-    return generate_scenario(case_seed(cfg.master_seed, case_index), generator, edge, cfg.pai)
+    return generate_scenario(case_seed(cfg.master_seed, case_index), generator, edge)
 
 
 def decision_summary(scenario: Scenario, decision: Decision) -> tuple[float, float, float]:
@@ -113,11 +114,12 @@ def decision_summary(scenario: Scenario, decision: Decision) -> tuple[float, flo
     return pai_sum - lat_sum, pai_sum / scenario.user_count, lat_sum / scenario.user_count
 
 
-def _solve(solver: str, scenario: Scenario, cfg: ExperimentConfig,
-           seed: int) -> Decision:
-    if solver == "dqn":
-        return greedy_solve(cfg.policy, scenario)
-    return baselines.SOLVERS[solver](scenario, rng=seed)
+def solve(name: str, scenario: Scenario, seed: int,
+          policy: TrainedPolicy | None = None) -> Decision:
+    """Run solver `name` of `SOLVER_NAMES`: the GA draws from `seed`, dqn runs `policy`."""
+    if name == "dqn":
+        return greedy_solve(policy, scenario)
+    return baselines.SOLVERS[name](scenario, rng=seed)
 
 
 def run_sweep(cfg: ExperimentConfig) -> list[ReportRow]:
@@ -128,7 +130,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[ReportRow]:
                 scenario = scenario_for_case(cfg, axis_value, case)
                 seed = scenario.seed
                 started = time.perf_counter() if cfg.timing else 0.0
-                decision = _solve(solver, scenario, cfg, seed)
+                decision = solve(solver, scenario, seed, cfg.policy)
                 elapsed = time.perf_counter() - started if cfg.timing else 0.0
                 check = objective(scenario, decision)  # feasibility + value trap
                 obj, mean_pai, mean_lat = decision_summary(scenario, decision)
@@ -157,7 +159,7 @@ def summarize(rows: list[ReportRow]) -> list[list]:
             half = 1.96 * math.sqrt(var / n)
         else:
             half = 0.0
-        out.append([key[0], key[1], key[2], n, repr(mean), repr(half)])
+        out.append([*key, n, mean, half])
     return out
 
 

@@ -214,7 +214,7 @@ def test_criterion_6_baseline_ordering_and_trends():
         axis="user_count", values=(10, 20, 30, 40, 50, 60),
         solvers=("oracle", "b1", "b2", "b3"), cases=100,
         generator=GeneratorConfig(user_count=20), edge=default_edge(gpus=8),
-        pai=PaiParams(), master_seed=2606)
+        master_seed=2606)
     rows = run_sweep(user_cfg)
     by_key = {}
     for row in rows:
@@ -234,7 +234,7 @@ def test_criterion_6_baseline_ordering_and_trends():
         axis="gpus", values=(2, 4, 8, 16),
         solvers=("oracle", "b1", "b2", "b3"), cases=100,
         generator=GeneratorConfig(user_count=20), edge=default_edge(gpus=8),
-        pai=PaiParams(), master_seed=2607)
+        master_seed=2607)
     rows = run_sweep(gpu_cfg)
     means = {}
     for row in rows:
