@@ -73,15 +73,11 @@ class GaConfig:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
 
 
-def repair(population: np.ndarray, cap: int, rng: np.random.Generator) -> np.ndarray:
-    """Each row of a (P, I) bool matrix with more than `cap` grants keeps `cap` of
-    them, a uniformly random subset; other rows are returned as they are."""
-    return _repair(population, np.count_nonzero(population, axis=1), cap, rng)
-
-
-def _repair(population: np.ndarray, counts: np.ndarray, cap: int,
-            rng: np.random.Generator) -> np.ndarray:
-    """`repair`, given each row's (P,) grant count."""
+def repair(population: np.ndarray, counts: np.ndarray, cap: int,
+           rng: np.random.Generator) -> np.ndarray:
+    """Each row of a (P, I) bool matrix whose (P,) grant count `counts` exceeds
+    `cap` keeps `cap` of its grants, a uniformly random subset; other rows are
+    returned as they are."""
     over = counts > cap
     if not over.any():
         return population
@@ -128,7 +124,7 @@ def solve_ga(scenario: Scenario, cfg: GaConfig | None = None,
 
     pop = rng.random((size, n)) < 0.5
     counts = np.count_nonzero(pop, axis=1)
-    pop, counts = _repair(pop, counts, cap, rng), np.minimum(counts, cap)
+    pop, counts = repair(pop, counts, cap, rng), np.minimum(counts, cap)
     fits = table.row_values(pop, counts)
     best_idx = int(np.argmax(fits))
     best, best_fit = pop[best_idx], fits[best_idx]
@@ -150,7 +146,7 @@ def solve_ga(scenario: Scenario, cfg: GaConfig | None = None,
         offspring ^= p2
         offspring ^= flips
         child_counts = np.count_nonzero(offspring, axis=1)
-        pop = np.concatenate([pop[elites], _repair(offspring, child_counts, cap, rng)])
+        pop = np.concatenate([pop[elites], repair(offspring, child_counts, cap, rng)])
         counts = np.concatenate([counts[elites], np.minimum(child_counts, cap)])
         fits = table.row_values(pop, counts)
         gen_best = int(np.argmax(fits))

@@ -25,6 +25,7 @@ from .scenario import (
     PaiParams,
     Scenario,
     ValidationError,
+    checked_integer,
     default_edge,
     generate_scenario,
     load_scenario,
@@ -150,10 +151,11 @@ def cmd_solve(args) -> int:
 
 def _axis_values(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(v) for v in text.split(","))
+        values = [int(v) for v in text.split(",")]
     except ValueError:
         raise ValidationError(
             f"--values: must be comma-separated integers, got {text!r}") from None
+    return tuple(checked_integer(v, "--values") for v in values)
 
 
 def cmd_sweep(args) -> int:
@@ -269,6 +271,9 @@ def main(argv=None) -> int:
     if args.command == "solve" and args.solver == "dqn" and not args.policy:
         parser.error("--solver dqn requires --policy")
     try:
+        for name, value in vars(args).items():
+            if type(value) is int:  # an integer option; a flag is a bool
+                checked_integer(value, "--" + name.replace("_", "-"))
         if getattr(args, "seed", 0) < 0:
             raise ValidationError(f"--seed: must be >= 0, got {args.seed}")
         return args.func(args)

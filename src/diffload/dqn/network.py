@@ -1,11 +1,11 @@
 """Q-network with an explicit forward/backward pass, in the dtype of its weights.
 
 Architecture: each user slot contributes `env.N_STATICS` continuous statics
-plus a status token that is looked up in a small embedding table (4 tokens, 3
-dims); the per-user blocks are flattened, the global features appended, and
-the result run through three ReLU hidden layers into a 2-unit linear head
-(Q-values for deny/grant). Gradients are computed analytically; the test
-suite checks them against central finite differences.
+plus a status token that is looked up in a small embedding table (a token per
+`env.STATUSES` entry, 3 dims); the per-user blocks are flattened, the global
+features appended, and the result run through three ReLU hidden layers into a
+2-unit linear head (Q-values for deny/grant). Gradients are computed
+analytically; the test suite checks them against central finite differences.
 
 A network computes in the dtype of the weights it holds: float64 by
 default, float32 for training (see `training`). Inputs are narrowed to that
@@ -19,10 +19,10 @@ import math
 
 import numpy as np
 
-from ..env import FEATURES_PER_USER, N_GLOBALS, N_STATICS
+from ..env import FEATURES_PER_USER, N_GLOBALS, N_STATICS, STATUSES
 from ..qoe import ContractError
 
-VOCAB = 4
+VOCAB = len(STATUSES)
 EMBED_DIM = 3
 N_ACTIONS = 2
 USER_BLOCK = N_STATICS + EMBED_DIM  # one user's slice of the dense-stack input

@@ -31,10 +31,10 @@ from .costmodel import CostModel, decision_of, sequential_sum
 from .qoe import ContractError, Decision, all_local_decision
 from .scenario import Scenario, ValidationError, step_latency_local
 
-PENDING = 0
-IN_PROGRESS = 1
-GRANTED = 2
-DENIED = 3
+# A user's status code is its index here; each is a token of the Q-network's
+# embedding table.
+STATUSES = ("pending", "in_progress", "granted", "denied")
+PENDING, IN_PROGRESS, GRANTED, DENIED = range(len(STATUSES))
 
 N_GLOBALS = 6
 N_STATICS = 3  # alpha, per-step local latency, request slot

@@ -382,9 +382,9 @@ def scenario_to_dict(s: Scenario) -> dict:
     return {"seed": s.seed, **asdict(s)}
 
 
-def _integer(value, name: str) -> int:
-    """An integer field: an integral JSON number that is not a boolean and
-    that int64 holds, as the cost model's arrays do."""
+def checked_integer(value, name: str) -> int:
+    """An integer field or CLI option: an integral number that is not a
+    boolean and that int64 holds, as the cost model's arrays do."""
     if isinstance(value, bool) or not (
             isinstance(value, int) or isinstance(value, float) and value.is_integer()):
         raise ValidationError(f"{name}: must be an integer, got {value!r}")
@@ -438,7 +438,7 @@ def _read_value(kind, value, name: str):
     """`value` as a `kind`: int, bool, float, str, a dataclass, ``list[T]`` or
     ``tuple[T, ...]``."""
     if kind is int:
-        return _integer(value, name)
+        return checked_integer(value, name)
     if kind is bool:
         return _flag(value, name)
     if kind is float:

@@ -11,8 +11,19 @@ WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 160, 30, 50
 
 
+def _extent(values: list[float]) -> tuple[float, float]:
+    """The least and greatest of `values`, an empty range widened: one unit up,
+    or where a unit rounds away at its magnitude, by 1/1024 of it toward zero."""
+    lo, hi = min(values), max(values)
+    if hi == lo:
+        hi = lo + 1.0
+        if hi == lo:
+            lo, hi = sorted((lo, lo - lo / 1024))
+    return lo, hi
+
+
 def _ticks(lo: float, hi: float) -> list[float]:
-    """Five evenly spaced ticks from lo to hi; `line_plot` has widened an empty axis."""
+    """Five evenly spaced ticks from lo to hi; `_extent` has widened an empty axis."""
     span = hi - lo
     return [lo + span * i / 4 for i in range(5)]
 
@@ -24,12 +35,8 @@ def line_plot(series: dict[str, list[tuple[float, float]]], path: str | Path,
     ys = [y for pts in series.values() for _, y in pts]
     if not xs:
         raise ValueError("nothing to plot")
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+    x_lo, x_hi = _extent(xs)
+    y_lo, y_hi = _extent(ys)
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
     plot_w = WIDTH - MARGIN_L - MARGIN_R

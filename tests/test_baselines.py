@@ -161,14 +161,15 @@ def test_repair_keeps_a_uniform_subset_of_cap_grants():
     population = rng.random((4000, 6)) < 0.6
     population[:, :4] = True  # every row has at least four grants
     for cap in (0, 2, 4, 6):
-        repaired = repair(population, cap, rng)
         counts = np.count_nonzero(population, axis=1)
+        repaired = repair(population, counts, cap, rng)
         over = counts > cap
         assert not (repaired & ~population).any()  # a subset of the input
         assert (np.count_nonzero(repaired[over], axis=1) == cap).all()
         assert (repaired[~over] == population[~over]).all()
     # A full row capped at 2 keeps each of its six grants a third of the time.
-    kept = repair(np.ones((6000, 6), dtype=bool), 2, rng).mean(axis=0)
+    full = np.ones((6000, 6), dtype=bool)
+    kept = repair(full, np.count_nonzero(full, axis=1), 2, rng).mean(axis=0)
     assert np.abs(kept - 1 / 3).max() < 0.03
 
 

@@ -1,9 +1,13 @@
+import ast
+import csv
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diffload
 from diffload.cli import main
 from diffload.dqn import QNetwork, TrainedPolicy, save_policy
 from diffload.qoe import fitted_pai, objective
@@ -542,6 +546,76 @@ def test_path_of_the_wrong_kind_is_clean_error(tmp_path, scenario_file, capsys, 
     assert not places["out"].exists()
 
 
+BASE_ARGV = {
+    "generate": ["generate", "--seed", 1, "--users", 3],
+    "train": ["train", "--scope", "specific", "--seed", 1, "--episodes", 1, "--users", 3,
+              "--users-min", 1],
+    "solve": ["solve", "SCENARIO", "--solver", "ga"],
+    "sweep": ["sweep", "--values", 3, "--cases", 1, "--seed", 1],
+}
+
+
+@pytest.mark.parametrize("command, option", [
+    ("generate", "--seed"), ("generate", "--users"), ("generate", "--gpus"),
+    ("generate", "--b-max"),
+    ("train", "--seed"), ("train", "--episodes"), ("train", "--users"),
+    ("train", "--users-min"), ("train", "--gpus"), ("train", "--b-max"),
+    ("train", "--train-every"),
+    ("solve", "--seed"),
+    ("sweep", "--seed"), ("sweep", "--cases"), ("sweep", "--users"), ("sweep", "--gpus"),
+    ("sweep", "--b-max"), ("sweep", "--values"),
+])
+@pytest.mark.parametrize("value", [2**63, -2**63 - 1])
+def test_an_integer_option_beyond_int64_is_clean_error(tmp_path, scenario_file, capsys,
+                                                       command, option, value):
+    # The later of two occurrences of an option wins, so the base value is overridden.
+    argv = [scenario_file if a == "SCENARIO" else a for a in BASE_ARGV[command]]
+    out = tmp_path / "out"
+    assert run(argv + [option, value, "-o", out]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {option}: must be an integer within int64, got {value}")
+    assert not out.exists()
+
+
+def test_the_largest_int64_seed_and_b_max_round_trip_through_solve(tmp_path):
+    largest = 2**63 - 1
+    scenario, policy = tmp_path / "s.json", tmp_path / "p.json"
+    assert run(["generate", "--seed", largest, "--users", 3, "--b-max", largest,
+                "-o", scenario]) == 0
+    assert run(["train", "--scope", "specific", "--seed", largest, "--episodes", 1,
+                "--users", 3, "--b-max", largest, "--scenario", scenario, "-o", policy]) == 0
+    for solver in ("oracle", "dqn"):
+        out = tmp_path / f"{solver}.json"
+        assert run(["solve", scenario, "--solver", solver, "--policy", policy,
+                    "--seed", largest, "-o", out]) == 0
+        assert json.loads(out.read_text())["scenario_seed"] == largest
+
+
+def _name(expr) -> str | None:
+    return expr.id if isinstance(expr, ast.Name) else getattr(expr, "attr", None)
+
+
+def test_sweep_solve_alone_turns_a_solver_name_into_a_decision():
+    # Only `sweep.solve` subscripts the solver registry or runs a policy
+    # greedily, so `solve` and `sweep` run every named solver alike.
+    package = Path(diffload.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        module = path.relative_to(package).as_posix()
+        tree = ast.parse(path.read_text())
+        owner = next((node for node in tree.body if module == "sweep.py"
+                      and isinstance(node, ast.FunctionDef) and node.name == "solve"), None)
+        exempt = {id(node) for node in ast.walk(owner)} if owner else set()
+        for node in ast.walk(tree):
+            if id(node) in exempt:
+                continue
+            if isinstance(node, ast.Subscript) and _name(node.value) == "SOLVERS":
+                found.append(f"{module}:{node.lineno} subscripts SOLVERS")
+            elif isinstance(node, ast.Call) and _name(node.func) == "greedy_solve":
+                found.append(f"{module}:{node.lineno} calls greedy_solve")
+    assert found == []
+
+
 # -- sweep / plot -----------------------------------------------------------------
 
 def test_sweep_row_count_and_determinism(tmp_path):
@@ -638,6 +712,26 @@ def test_sweep_timing_column_zero_without_flag(tmp_path):
          "--seed", 37, "-o", out2, "--timing"])
     rows = read_report(out2 / "report.csv")
     assert all(row.decision_time_s > 0.0 for row in rows)
+
+
+@pytest.mark.parametrize("column, value", [("objective", -1e20), ("axis_value", 2**60)])
+def test_plot_of_an_axis_too_large_to_widen_by_one(tmp_path, column, value):
+    # One row, so both axes are empty, and at this magnitude one unit rounds away.
+    assert run(["sweep", "--values", 4, "--cases", 1, "--solvers", "b3", "--seed", 11,
+                "-o", tmp_path]) == 0
+    report = tmp_path / "report.csv"
+    with open(report, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    rows[0][column] = str(value)
+    with open(report, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, REPORT_HEADER)
+        writer.writeheader()
+        writer.writerows(rows)
+    out = tmp_path / "plot"
+    assert run(["plot", "--report", report, "-o", out]) == 0
+    svg = (out / "objective_vs_axis.svg").read_text()
+    assert svg.count("<polyline") == 1
+    assert "nan" not in svg and "inf" not in svg
 
 
 REPORT_ROW = "b1,user_count,4,123,1.5,0.5,0.1,0.0,2"
