@@ -1,5 +1,4 @@
 import ast
-import csv
 import hashlib
 import json
 from pathlib import Path
@@ -12,7 +11,7 @@ from diffload.cli import main
 from diffload.dqn import QNetwork, TrainedPolicy, save_policy
 from diffload.qoe import fitted_pai, objective
 from diffload.scenario import load_scenario
-from diffload.sweep import REPORT_HEADER, read_report
+from diffload.sweep import REPORT_HEADER, read_report, write_report
 
 
 def run(argv):
@@ -720,13 +719,9 @@ def test_plot_of_an_axis_too_large_to_widen_by_one(tmp_path, column, value):
     assert run(["sweep", "--values", 4, "--cases", 1, "--solvers", "b3", "--seed", 11,
                 "-o", tmp_path]) == 0
     report = tmp_path / "report.csv"
-    with open(report, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    rows[0][column] = str(value)
-    with open(report, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, REPORT_HEADER)
-        writer.writeheader()
-        writer.writerows(rows)
+    rows = read_report(report)
+    setattr(rows[0], column, value)
+    write_report(rows, report)
     out = tmp_path / "plot"
     assert run(["plot", "--report", report, "-o", out]) == 0
     svg = (out / "objective_vs_axis.svg").read_text()
