@@ -63,7 +63,7 @@ from ..env import (
 )
 from ..qoe import ContractError, Decision, all_local_decision
 from ..scenario import (EdgeConfig, GeneratorConfig, PaiParams, Scenario, ValidationError,
-                        alpha_band, generate_scenario, read_fields)
+                        alpha_band, checked_integer, generate_scenario, read_fields)
 from .network import N_ACTIONS, USER_BLOCK, Adam, QNetwork
 from .replay import ReplayBuffer
 
@@ -398,26 +398,75 @@ def greedy_solve(policy: TrainedPolicy, scenario: Scenario) -> Decision:
     return decision_from_state(greedy_rollout(policy, scenario)[0])
 
 
+# Weight values encoded per `json.dumps` call in `save_policy`.
+SAVE_SLICE = 4096
+
+
 def save_policy(policy: TrainedPolicy, path: str | Path) -> None:
+    """Write `policy` as the file `json.dumps(obj, indent=2) + "\\n"` would.
+
+    `obj` holds the format tag, every field but `params`, and `weights`:
+    each parameter by sorted key, as its shape and its values flattened in
+    C order. The file is written as it is encoded, so memory does not grow
+    with the network: the text around the values comes from
+    `json.dumps(..., indent=2)` with every `data` list left empty, and each
+    weight's values follow in slices of `SAVE_SLICE`, each encoded by json's
+    C encoder and indented as the indenting encoder would. Both encoders
+    write a float as its `repr` (and nan and infinities as NaN, Infinity and
+    -Infinity), so the bytes are the same.
+    """
+    weights = sorted(policy.params.items())
     obj = {
         "format": "diffload-policy-v1",
         **{f.name: getattr(policy, f.name) for f in fields(policy) if f.name != "params"},
-        "weights": {
-            key: {"shape": list(value.shape), "data": value.reshape(-1).tolist()}
-            for key, value in sorted(policy.params.items())
-        },
+        "weights": {key: {"shape": list(value.shape), "data": []} for key, value in weights},
     }
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+    # A quote inside a JSON string is escaped, so the text `"data": []`
+    # occurs only where a weight's values go.
+    pieces = json.dumps(obj, indent=2).split('"data": []')
+    item = "\n" + " " * 8  # a value's line break and indent, four levels down
+    with open(path, "w") as fh:
+        fh.write(pieces[0])
+        for (_, value), after in zip(weights, pieces[1:]):
+            flat = value.reshape(-1)
+            fh.write('"data": [')
+            for start in range(0, flat.size, SAVE_SLICE):
+                text = json.dumps(flat[start:start + SAVE_SLICE].tolist())[1:-1]
+                fh.write("," * (start > 0) + item + text.replace(", ", "," + item))
+            fh.write(("\n" + " " * 6 + "]" if flat.size else "]") + after)
+        fh.write("\n")
+
+
+def _read_weight(key: str, spec: dict) -> np.ndarray:
+    """One entry of a policy file's `weights`, as a float64 array.
+
+    Each shape entry must be a non-negative integer, so that numpy does not
+    infer a -1, and each value a JSON number, not a boolean.
+    """
+    name = f"weights.{key}"
+    shape = [checked_integer(dim, f"{name}.shape[{j}]") for j, dim in enumerate(spec["shape"])]
+    if min(shape, default=0) < 0:
+        raise ValidationError(f"{name}.shape: entries must be >= 0, got {shape}")
+    data = spec["data"]
+    if not isinstance(data, list):
+        raise ValidationError(f"{name}.data: must be a JSON array, got {type(data).__name__}")
+    if not set(map(type, data)) <= {float, int}:
+        bad = next(v for v in data if type(v) not in (float, int))
+        raise ValidationError(f"{name}.data: must hold only numbers, got {bad!r}")
+    return np.asarray(data, dtype=float).reshape(shape)
 
 
 def load_policy(path: str | Path) -> TrainedPolicy:
-    """Read a policy file written by `save_policy`.
+    """Read a policy file written by `save_policy`; its text is parsed whole by
+    `json.loads`.
 
     Every malformed file raises `ValidationError`: bad JSON, a missing or
     mistyped field (the header fields are read by `scenario.read_fields`, so
     counts must be integral), a `scope` outside `SCOPES`, an `alpha_scale`
-    that is not finite and positive, or weights whose keys, shapes or values
-    do not fit a network of the stored `i_max` and `hidden`.
+    that is not finite and positive, a weight whose shape holds an entry
+    that is not a non-negative integer or whose values are not all JSON
+    numbers (see `_read_weight`), or weights whose keys, shapes or values do
+    not fit a network of the stored `i_max` and `hidden`.
     """
     try:
         obj = json.loads(Path(path).read_text())
@@ -427,14 +476,13 @@ def load_policy(path: str | Path) -> TrainedPolicy:
         raise ValidationError(f"{path}: not a recognized policy file")
     try:
         policy = TrainedPolicy(
-            params={key: np.asarray(spec["data"], dtype=float).reshape(spec["shape"])
-                    for key, spec in obj["weights"].items()},
+            params={key: _read_weight(key, spec) for key, spec in obj["weights"].items()},
             **read_fields(TrainedPolicy, obj, skip=("params",)))
     except ValidationError:
         raise
     except KeyError as exc:
         raise ValidationError(f"{path}: policy file lacks the field {exc}") from exc
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ValidationError(f"{path}: malformed policy file ({exc})") from exc
     if policy.scope not in SCOPES:
         raise ValidationError(f"scope: must be one of {SCOPES}, got {policy.scope!r}")

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
+
+from .scenario import ValidationError
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
            "#17becf", "#7f7f7f"]
@@ -30,7 +33,11 @@ def _ticks(lo: float, hi: float) -> list[float]:
 
 def line_plot(series: dict[str, list[tuple[float, float]]], path: str | Path,
               title: str, x_label: str, y_label: str) -> None:
-    """Write one SVG with a polyline per named series, a title and both axis labels."""
+    """Write one SVG with a polyline per named series, a title and both axis labels.
+
+    An axis whose padded extent spans more than the floating-point range
+    raises `ValidationError`, as it has no finite scale.
+    """
     xs = [x for pts in series.values() for x, _ in pts]
     ys = [y for pts in series.values() for _, y in pts]
     if not xs:
@@ -39,6 +46,10 @@ def line_plot(series: dict[str, list[tuple[float, float]]], path: str | Path,
     y_lo, y_hi = _extent(ys)
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
+    for label, lo, hi in ((x_label, x_lo, x_hi), (y_label, y_lo, y_hi)):
+        if not math.isfinite(hi - lo):
+            raise ValidationError(
+                f"{label}: the plotted values span more than the floating-point range")
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 

@@ -146,7 +146,13 @@ def run_sweep(cfg: ExperimentConfig) -> list[ReportRow]:
 
 
 def summarize(rows: list[ReportRow]) -> list[list]:
-    """Per (solver, axis value) mean objective with a normal 95% interval."""
+    """Per (solver, axis value) mean objective with a normal 95% interval.
+
+    Where a plain sum leaves floating-point range, that sum is taken
+    scaled: the mean as a sum of values divided by the count, and the
+    half-width through `math.hypot` of halved deviations, which reads inf
+    only where the half-width itself exceeds the float range.
+    """
     grouped: dict[tuple[str, str, int], list[float]] = {}
     for row in rows:
         grouped.setdefault((row.solver, row.axis, row.axis_value), []).append(row.objective)
@@ -154,9 +160,18 @@ def summarize(rows: list[ReportRow]) -> list[list]:
     for key, values in grouped.items():
         n = len(values)
         mean = sum(values) / n
+        if math.isinf(mean):
+            mean = sum(v / n for v in values)
         if n > 1:
-            var = sum((v - mean) ** 2 for v in values) / (n - 1)
-            half = 1.96 * math.sqrt(var / n)
+            try:
+                var = sum((v - mean) ** 2 for v in values) / (n - 1)
+            except OverflowError:
+                var = math.inf
+            if math.isinf(var):
+                root = math.sqrt(n * (n - 1))
+                half = 2 * 1.96 * math.hypot(*((v / 2 - mean / 2) / root for v in values))
+            else:
+                half = 1.96 * math.sqrt(var / n)
         else:
             half = 0.0
         out.append([*key, n, mean, half])

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from diffload.cli import main
 from diffload.dqn import QNetwork, TrainedPolicy, save_policy
 from diffload.qoe import fitted_pai, objective
 from diffload.scenario import load_scenario
-from diffload.sweep import REPORT_HEADER, read_report, write_report
+from diffload.sweep import REPORT_HEADER, ReportRow, read_report, summarize, write_report
 
 
 def run(argv):
@@ -410,6 +411,20 @@ def test_solve_dqn_policy_with_a_boolean_alpha_scale_is_clean_error(scenario_fil
     assert code == 2 and err.startswith("error:") and "alpha_scale: must be a number" in err
 
 
+@pytest.mark.parametrize("part, index, value, message", [
+    ("data", 0, True, "error: weights.W0.data: must hold only numbers, got True"),
+    ("data", 7, False, "error: weights.W0.data: must hold only numbers, got False"),
+    ("shape", 0, -1, "error: weights.W0.shape: entries must be >= 0, got [-1, 256]"),
+], ids=["true", "false", "inferred-dimension"])
+def test_solve_dqn_policy_with_a_boolean_weight_or_inferred_shape_is_clean_error(
+        scenario_file, policy_file, capsys, part, index, value, message):
+    obj = json.loads(policy_file.read_text())
+    obj["weights"]["W0"][part][index] = value
+    policy_file.write_text(json.dumps(obj))
+    code, err = solve_with_policy(scenario_file, policy_file, capsys)
+    assert code == 2 and err.startswith(message)
+
+
 def test_solve_dqn_policy_with_an_unknown_scope_is_clean_error(scenario_file, policy_file,
                                                                capsys):
     obj = json.loads(policy_file.read_text())
@@ -727,6 +742,56 @@ def test_plot_of_an_axis_too_large_to_widen_by_one(tmp_path, column, value):
     svg = (out / "objective_vs_axis.svg").read_text()
     assert svg.count("<polyline") == 1
     assert "nan" not in svg and "inf" not in svg
+
+
+def report_with_objectives(tmp_path, values, objectives):
+    """A b3 report of one case per axis value, or of two cases at one axis
+    value, with its objectives replaced."""
+    cases = 2 if len(values) == 1 else 1
+    assert run(["sweep", "--values", ",".join(map(str, values)), "--cases", cases,
+                "--solvers", "b3", "--seed", 11, "-o", tmp_path]) == 0
+    report = tmp_path / "report.csv"
+    rows = read_report(report)
+    for row, value in zip(rows, objectives, strict=True):
+        row.objective = value
+    write_report(rows, report)
+    return report
+
+
+def test_plot_of_two_objectives_whose_squared_deviations_overflow(tmp_path):
+    report = report_with_objectives(tmp_path, [4], [-1.7e308, 1.7e308])
+    out = tmp_path / "plot"
+    assert run(["plot", "--report", report, "-o", out]) == 0
+    svg = (out / "objective_vs_axis.svg").read_text()
+    assert svg.count("<circle") == 1
+    assert "nan" not in svg and "inf" not in svg
+
+
+def test_plot_of_objectives_whose_span_overflows_is_clean_error(tmp_path, capsys):
+    report = report_with_objectives(tmp_path, [4, 7], [-1.7e308, 1.7e308])
+    out = tmp_path / "plot"
+    assert run(["plot", "--report", report, "-o", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: objective: the plotted values span more than")
+    assert not (out / "objective_vs_axis.svg").exists()
+
+
+@pytest.mark.parametrize("objectives, mean, half", [
+    ([-1e308, 0.0, 1e308], 0.0, 1.96 / math.sqrt(3) * 1e308),
+    ([-1.7e308, 1.7e308], 0.0, math.inf),
+    ([1.7e308, 1.7e308], 1.7e308, 0.0),
+    # In units of 2**1000 the deviations are 0.7, 0.9, -2.5 and 0.9 times 1.7e308 / 2**1000.
+    ([1.5e308, 1.7e308, -1.7e308, 1.7e308], 0.8e308, 1.96 * 2.0**1000 * math.sqrt(
+        sum((v / 2.0**1000 - 0.8e308 / 2.0**1000) ** 2
+            for v in [1.5e308, 1.7e308, -1.7e308, 1.7e308]) / 12)),
+], ids=["squares-overflow", "half-width-beyond-range", "sum-overflows", "deviation-overflows"])
+def test_summarize_takes_sums_that_overflow_scaled(objectives, mean, half):
+    rows = [ReportRow("b3", "user_count", 4, case, value, 0.0, 0.0, 0.0, 1)
+            for case, value in enumerate(objectives)]
+    [(*_, n, got_mean, got_half)] = summarize(rows)
+    assert n == len(objectives)
+    assert got_mean == pytest.approx(mean, rel=1e-15)
+    assert got_half == pytest.approx(half, rel=1e-15)
 
 
 REPORT_ROW = "b1,user_count,4,123,1.5,0.5,0.1,0.0,2"

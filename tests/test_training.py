@@ -1,18 +1,25 @@
+import json
+import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffload.dqn.network import Adam, QNetwork
 from diffload.dqn.replay import ReplayBuffer
 from diffload.dqn.training import (
     LEARNING_RATE,
     REWARD_SCALE,
+    SAVE_SLICE,
+    SCOPES,
     ScenarioSource,
     TrainedPolicy,
     TrainHyper,
@@ -346,6 +353,143 @@ def test_float32_policy_survives_the_policy_file(tmp_path):
     for seed in range(8):
         scenario = generate_scenario(seed, GeneratorConfig(user_count=6), default_edge())
         assert greedy_solve(loaded, scenario) == greedy_solve(policy, scenario)
+
+
+def reference_policy_text(policy):
+    """The policy file as one indenting `json.dumps` call writes it."""
+    obj = {
+        "format": "diffload-policy-v1",
+        **{f.name: getattr(policy, f.name) for f in fields(policy) if f.name != "params"},
+        "weights": {key: {"shape": list(value.shape), "data": value.reshape(-1).tolist()}
+                    for key, value in sorted(policy.params.items())},
+    }
+    return json.dumps(obj, indent=2) + "\n"
+
+
+EDGE_FLOATS = [-0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, math.nan, math.inf, -math.inf]
+# Sizes around the slice length, so that a weight can end on, just past or
+# just short of a slice boundary, or hold no values at all.
+DIMS = [0, 1, 2, 3, SAVE_SLICE - 1, SAVE_SLICE, SAVE_SLICE + 1]
+
+
+def weight_values(draw, shape, finite):
+    """An array of `shape` of random float64 bit patterns, with drawn floats
+    (edge values among them) set at drawn positions."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    flat = rng.integers(0, 2**64, math.prod(shape), dtype=np.uint64).view(np.float64)
+    if finite:
+        flat[~np.isfinite(flat)] = 0.5
+    special = st.sampled_from(EDGE_FLOATS if not finite else EDGE_FLOATS[:5])
+    special |= st.floats(allow_nan=not finite, allow_infinity=not finite)
+    if flat.size:
+        for value in draw(st.lists(special, max_size=6)):
+            flat[draw(st.integers(0, flat.size - 1))] = value
+    return flat.reshape(shape)
+
+
+@st.composite
+def any_layout_policy(draw):
+    """A policy of any keys (quotes and the text of a `data` entry among them),
+    shapes and values; header fields of any value of their type."""
+    shapes = draw(st.dictionaries(
+        st.text(max_size=8) | st.just('x"data": []'),
+        st.lists(st.sampled_from(DIMS), max_size=3).filter(
+            lambda dims: math.prod(dims) <= 3 * SAVE_SLICE),
+        max_size=4))
+    return TrainedPolicy(
+        i_max=draw(st.integers()), hidden=tuple(draw(st.lists(st.integers(), max_size=3))),
+        params={key: weight_values(draw, tuple(dims), finite=False)
+                for key, dims in shapes.items()},
+        alpha_scale=draw(st.floats()), scope=draw(st.text(max_size=8)),
+        seed=draw(st.integers()), episodes=draw(st.integers()))
+
+
+@st.composite
+def finite_network_policy(draw):
+    """A policy that `load_policy` accepts: a network layout whose hidden
+    widths may be 0 or longer than one slice, and finite values."""
+    i_max = draw(st.integers(1, 3))
+    hidden = draw(st.lists(st.sampled_from([0, 1, 3]), max_size=2))
+    if hidden and draw(st.booleans()):
+        hidden[draw(st.integers(0, len(hidden) - 1))] = SAVE_SLICE + 1
+    hidden = tuple(hidden)
+    return TrainedPolicy(
+        i_max=i_max, hidden=hidden,
+        params={key: weight_values(draw, shape, finite=True)
+                for key, shape in QNetwork.param_shapes(i_max, hidden).items()},
+        alpha_scale=draw(st.floats(min_value=5e-324, allow_infinity=False)),
+        scope=draw(st.sampled_from(SCOPES)), seed=draw(st.integers(0, 2**63 - 1)),
+        episodes=draw(st.integers(1, 2**63 - 1)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(policy=any_layout_policy())
+def test_policy_file_is_the_indenting_json_dump(tmp_path_factory, policy):
+    path = tmp_path_factory.mktemp("policy") / "policy.json"
+    save_policy(policy, path)
+    assert path.read_bytes() == reference_policy_text(policy).encode()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(policy=finite_network_policy())
+def test_finite_policy_loads_back_bit_for_bit(tmp_path_factory, policy):
+    path = tmp_path_factory.mktemp("policy") / "policy.json"
+    save_policy(policy, path)
+    assert path.read_bytes() == reference_policy_text(policy).encode()
+    loaded = load_policy(path)
+    assert replace(loaded, params={}) == replace(policy, params={})
+    assert sorted(loaded.params) == sorted(policy.params)
+    for key, value in policy.params.items():
+        assert loaded.params[key].shape == value.shape, key
+        assert loaded.params[key].tobytes() == value.tobytes(), key
+
+
+def set_entry(part, index, value):
+    def edit(weight):
+        weight[part][index] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (set_entry("data", 0, True), "weights.W0.data: must hold only numbers, got True"),
+    (set_entry("data", 5, False), "weights.W0.data: must hold only numbers, got False"),
+    (set_entry("data", 1, "0.5"), "weights.W0.data: must hold only numbers, got '0.5'"),
+    (set_entry("data", 2, [0.5]), "weights.W0.data: must hold only numbers, got [0.5]"),
+    (lambda weight: weight.update(data={"a": 1.0}), "weights.W0.data: must be a JSON array"),
+    (set_entry("shape", 0, -1), "weights.W0.shape: entries must be >= 0, got [-1, 2]"),
+    (set_entry("shape", 1, True), "weights.W0.shape[1]: must be an integer, got True"),
+    (set_entry("shape", 1, 2.5), "weights.W0.shape[1]: must be an integer, got 2.5"),
+    (set_entry("data", 3, 10**400), "malformed policy file (int too large to convert"),
+], ids=["true", "false", "string", "list", "object", "inferred-dimension", "boolean-dimension",
+        "fractional-dimension", "integer-beyond-float"])
+def test_load_policy_rejects_a_weight_that_is_not_plain_numbers(tmp_path, edit, message):
+    net = QNetwork(1, hidden=(2,), rng=np.random.default_rng(0))
+    path = tmp_path / "policy.json"
+    save_policy(TrainedPolicy(i_max=1, hidden=net.hidden, params=net.params, alpha_scale=1.0,
+                              scope="specific", seed=0, episodes=1), path)
+    obj = json.loads(path.read_text())
+    edit(obj["weights"]["W0"])
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ValidationError) as exc:
+        load_policy(path)
+    assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("hidden", [(256, 256, 256), (512, 512, 512)])
+def test_saving_a_policy_takes_memory_that_does_not_grow_with_the_network(tmp_path, hidden):
+    """Writing the 4.6 MiB file of the default 20-user network, or the 16.7 MiB
+    file of a (512, 512, 512) one, traces a peak under 1 MiB."""
+    net = QNetwork(20, hidden=hidden, rng=np.random.default_rng(0))
+    policy = TrainedPolicy(i_max=20, hidden=net.hidden, params=net.params, alpha_scale=1.0,
+                           scope="specific", seed=0, episodes=1)
+    tracemalloc.start()
+    try:
+        save_policy(policy, tmp_path / "policy.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert (tmp_path / "policy.json").stat().st_size > 4 * 2**20
 
 
 def reference_rollout(policy, scenario):
