@@ -379,7 +379,7 @@ def weight_values(draw, shape, finite):
     flat = rng.integers(0, 2**64, math.prod(shape), dtype=np.uint64).view(np.float64)
     if finite:
         flat[~np.isfinite(flat)] = 0.5
-    special = st.sampled_from(EDGE_FLOATS if not finite else EDGE_FLOATS[:5])
+    special = st.sampled_from([v for v in EDGE_FLOATS if math.isfinite(v) or not finite])
     special |= st.floats(allow_nan=not finite, allow_infinity=not finite)
     if flat.size:
         for value in draw(st.lists(special, max_size=6)):
