@@ -780,7 +780,7 @@ def test_plot_of_objectives_whose_span_overflows_is_clean_error(tmp_path, capsys
     ([-1e308, 0.0, 1e308], 0.0, 1.96 / math.sqrt(3) * 1e308),
     ([-1.7e308, 1.7e308], 0.0, math.inf),
     ([1.7e308, 1.7e308], 1.7e308, 0.0),
-    # In units of 2**1000 the deviations are 0.7, 0.9, -2.5 and 0.9 times 1.7e308 / 2**1000.
+    # The deviations, 0.7e308, 0.9e308, -2.5e308 and 0.9e308, squared in units of 2**1000.
     ([1.5e308, 1.7e308, -1.7e308, 1.7e308], 0.8e308, 1.96 * 2.0**1000 * math.sqrt(
         sum((v / 2.0**1000 - 0.8e308 / 2.0**1000) ** 2
             for v in [1.5e308, 1.7e308, -1.7e308, 1.7e308]) / 12)),
