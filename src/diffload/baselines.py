@@ -191,7 +191,7 @@ def solve_bnb(scenario: Scenario, stats: BnbStats | None = None) -> Decision:
     cap = scenario.cap
     # deny[i] and grant[i, m - 1]: user i's value denied and granted at n_min in
     # a round of m grants, users in processing order.
-    model = CostModel.from_scenario(scenario)
+    model = scenario.model
     deny = model.denied()[order]
     grant = model.granted(scenario.pai.n_min, np.arange(1, cap + 1)).T[order]
 
@@ -341,7 +341,7 @@ def solve_count_oracle(scenario: Scenario) -> Decision:
     gains that `ranked_gains` ranks.
     """
     n, cap = scenario.user_count, scenario.cap
-    model = CostModel.from_scenario(scenario)
+    model = scenario.model
     deny = model.denied()
     users = np.arange(n)
     if (n - cap) * cap >= PRUNE_MIN_CELLS:

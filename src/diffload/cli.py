@@ -16,7 +16,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .costmodel import Breakdown, CostModel
+from .costmodel import Breakdown
 from .dqn import ScenarioSource, TrainHyper, load_policy, save_policy, train
 from .dqn.training import SCOPES
 from .qoe import ContractError, Decision, objective
@@ -122,7 +122,7 @@ LATENCY_PARTS = tuple(f.name for f in fields(Breakdown) if f.name != "pai_term")
 
 
 def _decision_dict(scenario: Scenario, decision: Decision, solver: str, obj: float) -> dict:
-    parts = CostModel.from_scenario(scenario).breakdown(decision)
+    parts = scenario.model.breakdown(decision)
     rows = zip(scenario.users, decision.entries, parts.pai_term.tolist(),
                zip(*(getattr(parts, name).tolist() for name in LATENCY_PARTS)))
     entries = [{"user_id": user.id, "granted": entry.granted, "split": entry.split,

@@ -2,8 +2,10 @@
 
 :class:`CostModel` holds a scenario as per-user vectors and evaluates the
 model of :mod:`diffload.qoe` on whole (grant count, user) grids, or for one
-decision as each user's :class:`Breakdown`. Grids are count-major: row j
-holds one grant count for every user. Every value is computed with the
+decision as each user's :class:`Breakdown`. A scenario's model is built in
+one place, :attr:`scenario.Scenario.model`, which keeps it and checks it
+with :func:`require_finite_model`. Grids are count-major: row j holds one
+grant count for every user. Every value is computed with the
 operations of the scalar :func:`qoe.e2e_latency` in the same order and the
 accuracy curve is tabulated with :func:`scenario.fitted_pai` itself, so
 each cell equals the scalar reference bit for bit. Optimal splits follow
@@ -92,9 +94,12 @@ class CostModel:
 
     @classmethod
     def from_scenario(cls, scenario: Scenario) -> "CostModel":
+        """The model of `scenario`. Read it as `Scenario.model`, which builds
+        it once and checks it; its readers share it, so its vectors are
+        read-only."""
         edge, users = scenario.edge, scenario.users
         slots = np.array([u.request_slot for u in users], dtype=np.int64)
-        return cls(
+        model = cls(
             edge=edge,
             pai=scenario.pai,
             alpha=np.array([u.alpha for u in users], dtype=float),
@@ -103,6 +108,9 @@ class CostModel:
             payload=np.array([u.prompt_bits + u.intermediate_bits for u in users], dtype=float),
             accuracy=_accuracy_table(scenario.pai),
         )
+        for vector in (model.alpha, model.local_step, model.rtt, model.payload):
+            vector.setflags(write=False)
+        return model
 
     def subset(self, users: np.ndarray) -> "CostModel":
         """The model of the given users only, in the given order."""
@@ -221,43 +229,84 @@ class CostModel:
         return splits, values
 
 
-def require_finite_model(scenario: Scenario) -> None:
-    """Raise `ValidationError` unless the scenario's model stays in floating-point range.
+# `require_finite_model` passes a model at once whose `range_bound` is below this.
+RANGE_BOUND = 1e300
+
+
+def range_bound(model: CostModel, cap: int) -> float:
+    """8 * I * M for the I users of `model`, a cheap bound on the sum of
+    magnitudes that `require_finite_model` checks.
+
+    M is the largest of alpha, the wait, the transfer at `cap` grants, and
+    n_total steps at the local latency and at the edge latency of `cap`
+    grants. A checked value is alpha * F(split) minus a latency of four
+    terms. F <= 1, and each computed term grows with the grant count and
+    the split under rounding, so each value's magnitude is at most about 4M
+    and the I magnitudes sum to at most about 4 * I * M. A bound below
+    `RANGE_BOUND` so shows every value and their sum finite. A term that is
+    nan (a transfer of 0 / 0 at cap 0) makes the bound nan, which shows
+    nothing.
+    """
+    if not len(model.alpha):
+        return 0.0
+    n, edge = model.pai.n_total, model.edge
+    terms = np.array([model.alpha.max(), model.rtt.max(),
+                      model.payload.max() * cap / (edge.spectral_efficiency * edge.bandwidth_hz),
+                      n * model.local_step.max(), n * model.edge_step(cap)])
+    return 8 * len(model.alpha) * terms.max()
+
+
+def corner_magnitudes(model: CostModel, cap: int) -> np.ndarray:
+    """(I,) each user's largest value magnitude among denied, and granted at
+    one and at `cap` grants at splits n_min and n_total."""
+    pai = model.pai
+    values = [model.denied()]
+    if cap:
+        splits = np.repeat([[pai.n_min], [pai.n_total]], 2, axis=0)
+        values.extend(model.granted(splits, [1, cap, 1, cap]))
+    return np.abs(values).max(axis=0)
+
+
+def require_finite_model(scenario: Scenario, model: CostModel) -> None:
+    """Raise `ValidationError` unless `model`, the model of `scenario`, stays
+    in floating-point range.
 
     Each user's value denied, and granted at one and at ``scenario.cap``
-    grants at splits n_min and n_total, must be finite, and so must the sum
-    of their magnitudes. A latency grows with the grant count and is linear
-    in the split, so these bound every value and objective a solver sums.
-    The error names the first user whose value is not finite (else the one
-    of largest magnitude) and the field that pushes that user's value
-    furthest: alpha, or one of the fields their latency grows with. Each is
-    weighed by its value, except the slot duration by the wait it scales
-    and a bandwidth or spectral efficiency by its reciprocal.
+    grants at splits n_min and n_total (`corner_magnitudes`), must be
+    finite, and so must the sum of their magnitudes. A latency grows with
+    the grant count and is linear in the split, so these bound every value
+    and objective a solver sums. A model whose `range_bound` is below
+    `RANGE_BOUND` passes without evaluating them. The error names the first
+    user whose value is not finite (else the one of largest magnitude) and
+    the field that pushes that user's value furthest: alpha, or one of the
+    fields their latency grows with. Each is weighed by its value, except
+    the slot duration by the wait it scales and a bandwidth or spectral
+    efficiency by its reciprocal.
+
+    Its arithmetic may leave floating-point range, so it runs where
+    `Scenario.model` builds the model, under an `np.errstate` that ignores
+    overflow, invalid values and division by zero.
     """
-    pai, edge, cap = scenario.pai, scenario.edge, scenario.cap
-    with np.errstate(over="ignore", invalid="ignore"):
-        model = CostModel.from_scenario(scenario)
-        values = [model.denied()]
-        if cap:
-            splits = np.repeat([[pai.n_min], [pai.n_total]], 2, axis=0)
-            values.extend(model.granted(splits, [1, cap, 1, cap]))
-        magnitude = np.abs(values).max(axis=0)
-        if np.isfinite(magnitude.sum()):
-            return
-        user = int(np.argmax(np.nan_to_num(magnitude, nan=np.inf)))
-        u, path = scenario.users[user], f"users[{user}]"
-        push = {f"{path}.alpha": (u.alpha, u.alpha),
-                "edge.slot_duration": (model.rtt[user], edge.slot_duration),
-                f"{path}.device.step_slope": (u.device.step_slope,) * 2,
-                f"{path}.device.step_intercept": (u.device.step_intercept,) * 2}
-        if cap:
-            push.update({f"{path}.prompt_bits": (u.prompt_bits,) * 2,
-                         f"{path}.intermediate_bits": (u.intermediate_bits,) * 2,
-                         "edge.bandwidth_hz": (1 / edge.bandwidth_hz, edge.bandwidth_hz),
-                         "edge.spectral_efficiency": (1 / edge.spectral_efficiency,
-                                                      edge.spectral_efficiency),
-                         "edge.device.step_slope": (edge.device.step_slope,) * 2,
-                         "edge.device.step_intercept": (edge.device.step_intercept,) * 2})
+    edge, cap = scenario.edge, scenario.cap
+    if range_bound(model, cap) < RANGE_BOUND:
+        return
+    magnitude = corner_magnitudes(model, cap)
+    if np.isfinite(magnitude.sum()):
+        return
+    user = int(np.argmax(np.nan_to_num(magnitude, nan=np.inf)))
+    u, path = scenario.users[user], f"users[{user}]"
+    push = {f"{path}.alpha": (u.alpha, u.alpha),
+            "edge.slot_duration": (model.rtt[user], edge.slot_duration),
+            f"{path}.device.step_slope": (u.device.step_slope,) * 2,
+            f"{path}.device.step_intercept": (u.device.step_intercept,) * 2}
+    if cap:
+        push.update({f"{path}.prompt_bits": (u.prompt_bits,) * 2,
+                     f"{path}.intermediate_bits": (u.intermediate_bits,) * 2,
+                     "edge.bandwidth_hz": (1 / edge.bandwidth_hz, edge.bandwidth_hz),
+                     "edge.spectral_efficiency": (1 / edge.spectral_efficiency,
+                                                  edge.spectral_efficiency),
+                     "edge.device.step_slope": (edge.device.step_slope,) * 2,
+                     "edge.device.step_intercept": (edge.device.step_intercept,) * 2})
     name = max(push, key=lambda key: push[key][0])
     raise ValidationError(
         f"{name}: {push[name][1]!r} puts the model of user {user} out of floating-point range")
@@ -274,7 +323,7 @@ class SplitTable:
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.cap = scenario.cap
-        model = CostModel.from_scenario(scenario)
+        model = scenario.model
         self.deny = model.denied()
         splits, values = model.optimal_splits(np.arange(1, self.cap + 1))
         self.splits, self.values = splits.copy(), values.copy()

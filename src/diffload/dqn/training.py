@@ -208,6 +208,8 @@ class ScenarioSource:
     _cache: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
+        if self.fixed_scenario is not None:
+            self.fixed_scenario.model  # a scenario out of floating-point range raises here
         if self.scope not in SCOPES:
             raise ValidationError(f"scope: must be one of {SCOPES}, got {self.scope!r}")
         if self.scope != "specific" and not 1 <= self.user_range[0] <= self.user_range[1]:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costmodel import CostModel, decision_of, sequential_sum
+from .costmodel import decision_of, sequential_sum
 from .qoe import ContractError, Decision, all_local_decision
 from .scenario import Scenario, ValidationError, step_latency_local
 
@@ -220,8 +220,7 @@ def decision_from_state(state: EnvState) -> Decision:
         return all_local_decision(state.scenario)
     grants = np.zeros(state.user_count, dtype=bool)
     grants[list(state.user_ids)] = [status == GRANTED for status in state.statuses]
-    model = CostModel.from_scenario(state.scenario)
-    at_count, _ = model.optimal_splits(np.array([state.granted]))
+    at_count, _ = state.scenario.model.optimal_splits(np.array([state.granted]))
     return decision_of(grants, at_count[0], state.scenario.pai.n_total)
 
 
@@ -235,7 +234,7 @@ def assign_rewards(episode: EpisodeRecord) -> list[float]:
     `ContractError`.
     """
     decision = decision_from_state(episode.final_state)
-    parts = CostModel.from_scenario(episode.final_state.scenario).breakdown(decision)
+    parts = episode.final_state.scenario.model.breakdown(decision)
     pai_terms = parts.pai_term.tolist()  # indexed by user id
     handled = episode.handled_order
     visited = set(handled[:-1])

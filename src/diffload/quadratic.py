@@ -12,10 +12,10 @@ Because x is binary (x^2 = x), the linear term can be folded onto the
 diagonal of A, leaving a pure quadratic form; :func:`absorb_linear`
 performs that fold and :func:`eval_quadratic` evaluates either form.
 
-The form is a view of :class:`diffload.costmodel.CostModel`: D is the
-model's deny value and its grant value with no grant-count terms, and the
-coupling of user i is the part of its latency that grows by one share per
-granted user. No solver uses it; branch and bound reads the fixed-split
+The form is a view of the scenario's cost model
+(:attr:`diffload.scenario.Scenario.model`): D is the model's deny value
+and its grant value with no grant-count terms, and the coupling of user i
+is the part of its latency that grows by one share per granted user. No solver uses it; branch and bound reads the fixed-split
 values from the cost model directly. The form stays the cross-check of the
 direct scalar objective (acceptance criterion 2), since it sums the model
 in a different shape.
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costmodel import CostModel
 from .qoe import ContractError
 from .scenario import Scenario
 
@@ -50,7 +49,7 @@ def build_quadratic(scenario: Scenario, fixed_split: int) -> QuadraticForm:
     if not pai.n_min <= fixed_split <= pai.n_total:
         raise ContractError(
             f"fixed_split {fixed_split} outside [{pai.n_min}, {pai.n_total}]")
-    model = CostModel.from_scenario(scenario)
+    model = scenario.model
     linear = np.empty((scenario.user_count, 2))
     linear[:, DENY] = model.denied()
     # At m = 0 a grant keeps only the terms that do not scale with the grant

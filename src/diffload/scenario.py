@@ -10,7 +10,9 @@ fitted accuracy curve :func:`fitted_pai`, its marginal rate
 :func:`marginal_pai_rate`, and :func:`stationary_point`, the closed-form
 inverse of that rate. They are defined here only: the scalar reference
 :mod:`diffload.split` and the array model :mod:`diffload.costmodel` both
-read them from this module.
+read them from this module. A scenario's array model is
+:attr:`Scenario.model`, built on first read, checked there to stay in
+floating-point range, and kept out of the scenario's value and file.
 
 Units are SI throughout: seconds, bits, Hz. The request timeline is
 discretized into ``slots_per_interval`` slots of ``slot_duration`` seconds
@@ -25,10 +27,13 @@ import json
 import math
 import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
-from functools import cache
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
+
+if typing.TYPE_CHECKING:
+    from .costmodel import CostModel
 
 
 class ValidationError(ValueError):
@@ -226,6 +231,23 @@ class Scenario:
     def cap(self) -> int:
         """The most users one round can grant: the user count or b_max, the smaller."""
         return min(len(self.users), self.edge.b_max)
+
+    @cached_property
+    def model(self) -> CostModel:
+        """The scenario's cost model, built on first read and kept.
+
+        This is the one place a `costmodel.CostModel` is built from a
+        scenario, and `costmodel.require_finite_model` checks it here, so a
+        scenario whose model leaves floating-point range raises
+        `ValidationError` wherever it is first used. Not a dataclass field:
+        equality, `replace` and the file layout do not see it.
+        """
+        from .costmodel import CostModel, require_finite_model  # costmodel imports this module
+
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            model = CostModel.from_scenario(self)
+            require_finite_model(self, model)
+        return model
 
 
 # Default GPU catalog. The per-step constants are illustrative fits in the
@@ -479,10 +501,8 @@ def save_scenario(s: Scenario, path: str | Path) -> None:
 
 def load_scenario(path: str | Path) -> Scenario:
     """Read a scenario file; every malformed file, and every scenario whose
-    model leaves floating-point range (`costmodel.require_finite_model`),
-    raises `ValidationError`."""
-    from .costmodel import require_finite_model  # costmodel imports this module
-
+    model leaves floating-point range (`Scenario.model`), raises
+    `ValidationError`."""
     path = Path(path)
     try:
         obj = json.loads(path.read_text())
@@ -491,5 +511,5 @@ def load_scenario(path: str | Path) -> Scenario:
     except UnicodeDecodeError as e:
         raise ValidationError(f"{path}: not valid JSON ({e})") from e
     scenario = scenario_from_dict(obj)
-    require_finite_model(scenario)
+    scenario.model  # builds and checks the model
     return scenario

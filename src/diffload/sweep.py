@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines
-from .costmodel import CostModel, sequential_sum
+from .costmodel import sequential_sum
 from .dqn import TrainedPolicy, greedy_solve
 from .qoe import Decision, objective
 from .scenario import (EdgeConfig, GeneratorConfig, Scenario, ValidationError, field_types,
@@ -109,14 +109,18 @@ def scenario_for_case(cfg: ExperimentConfig, axis_value: int, case_index: int) -
 
 def decision_summary(scenario: Scenario, decision: Decision) -> tuple[float, float, float]:
     """(objective, mean accuracy term, mean end-to-end latency) of a feasible decision."""
-    parts = CostModel.from_scenario(scenario).breakdown(decision)
+    parts = scenario.model.breakdown(decision)
     pai_sum, lat_sum = sequential_sum(parts.pai_term), sequential_sum(parts.total)
     return pai_sum - lat_sum, pai_sum / scenario.user_count, lat_sum / scenario.user_count
 
 
 def solve(name: str, scenario: Scenario, seed: int,
           policy: TrainedPolicy | None = None) -> Decision:
-    """Run solver `name` of `SOLVER_NAMES`: the GA draws from `seed`, dqn runs `policy`."""
+    """Run solver `name` of `SOLVER_NAMES`: the GA draws from `seed`, dqn runs `policy`.
+
+    The scenario's model is read first, so a scenario out of floating-point
+    range raises its `ValidationError` (`Scenario.model`) under every name."""
+    scenario.model  # builds and checks the model
     if name == "dqn":
         return greedy_solve(policy, scenario)
     return baselines.SOLVERS[name](scenario, rng=seed)

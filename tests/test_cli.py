@@ -224,7 +224,8 @@ def set_field(obj, field, value):
 
 
 # Each finite value that takes a user's modelled latency out of floating-point
-# range; solvers used to write an objective of -Infinity or raise on them.
+# range; solvers used to write an objective of -Infinity or raise on them. A
+# field "a+b" sets both fields, and the error names the first.
 OUT_OF_RANGE = [
     ("users[0].device.step_slope", 1e308),
     ("users[0].device.step_intercept", 1e308),
@@ -235,6 +236,8 @@ OUT_OF_RANGE = [
     ("users[0].intermediate_bits", 1e308),
     ("edge.device.step_slope", 1e308),
     ("edge.device.step_intercept", 1e308),
+    # Their product rounds to 0, so the transfer time divides by zero.
+    ("edge.bandwidth_hz+edge.spectral_efficiency", 1e-200),
 ]
 
 
@@ -243,13 +246,17 @@ OUT_OF_RANGE = [
 def test_a_model_out_of_floating_point_range_is_clean_error(tmp_path, scenario_file, capsys,
                                                             command, field, value):
     obj = json.loads(scenario_file.read_text())
-    set_field(obj, field, value)
+    named, *others = field.split("+")
+    for name in (named, *others):
+        set_field(obj, name, value)
     path, out = tmp_path / "extreme.json", tmp_path / "out.json"
     path.write_text(json.dumps(obj))
     argv = (["solve", path, "--solver", "oracle"] if command == "solve" else
             ["train", "--scope", "specific", "--seed", 1, "--episodes", 1, "--scenario", path])
     assert run([*argv, "-o", out]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {field}: {value!r} puts the model of")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}: {value!r} puts the model of")
+    assert "Warning" not in err
     assert not out.exists()
 
 

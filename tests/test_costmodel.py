@@ -22,6 +22,7 @@ from diffload.baselines import (
     solve_exhaustive,
 )
 from diffload.costmodel import CostModel, sequential_sum
+from diffload.dqn import ScenarioSource, TrainHyper, train
 from diffload.qoe import (
     ContractError,
     Decision,
@@ -37,9 +38,12 @@ from diffload.scenario import (
     PaiParams,
     Scenario,
     UserRequest,
+    ValidationError,
     default_edge,
     fitted_pai,
     generate_scenario,
+    save_scenario,
+    scenario_to_dict,
 )
 from diffload.split import (
     INTERIOR_ROOT,
@@ -48,6 +52,7 @@ from diffload.split import (
     PAI_SATURATED,
     optimal_split,
 )
+from diffload.sweep import SOLVER_NAMES, solve
 
 
 def make_scenario(seed, users, b_max, gpus=8):
@@ -428,3 +433,81 @@ def test_the_primitives_are_defined_in_scenario_only():
                          if name.split(".")[-1] == "costmodel")
     assert found == []
     assert in_scenario == PRIMITIVES
+
+
+def _from_scenario_calls(tree, scope=()):
+    """(line, dotted name of the enclosing class and function) of every
+    ``….from_scenario(…)`` call in `tree`."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield from _from_scenario_calls(node, (*scope, node.name))
+            continue
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "from_scenario"):
+            yield node.lineno, ".".join(scope)
+        yield from _from_scenario_calls(node, scope)
+
+
+def test_the_model_is_built_in_scenario_model_only():
+    package = Path(diffload.__file__).parent
+    sites = [(path.relative_to(package).as_posix(), scope, line)
+             for path in sorted(package.rglob("*.py"))
+             for line, scope in _from_scenario_calls(ast.parse(path.read_text()))]
+    assert [(module, scope) for module, scope, _ in sites] == [("scenario.py", "Scenario.model")], sites
+
+
+def test_the_cached_model_stays_out_of_values_and_files(tmp_path):
+    scenario = make_scenario(seed=4, users=6, b_max=3)
+    as_dict = scenario_to_dict(scenario)
+    save_scenario(scenario, tmp_path / "before.json")
+    model = scenario.model
+    assert scenario.model is model
+    save_scenario(scenario, tmp_path / "after.json")
+    assert scenario_to_dict(scenario) == as_dict
+    assert (tmp_path / "after.json").read_bytes() == (tmp_path / "before.json").read_bytes()
+    assert replace(scenario) == scenario
+    first = replace(scenario.users[0], alpha=2 * scenario.users[0].alpha)
+    other = replace(scenario, users=[first, *scenario.users[1:]],
+                    edge=replace(scenario.edge, gpus=2))
+    assert other.model is not model
+    assert other.model.edge == other.edge
+    assert other.model.alpha[0] == first.alpha
+    assert np.array_equal(other.model.alpha[1:], model.alpha[1:])
+
+
+def every_device_at_1e308():
+    """`generate --seed 3 --users 5` with every device's slope and intercept,
+    the users' and the edge's, at 1e308, on one edge GPU."""
+    scenario = generate_scenario(3, GeneratorConfig(user_count=5), default_edge())
+
+    def slowest(device):
+        return replace(device, step_slope=1e308, step_intercept=1e308)
+
+    return replace(scenario, users=[replace(u, device=slowest(u.device)) for u in scenario.users],
+                   edge=replace(scenario.edge, gpus=1, device=slowest(scenario.edge.device)))
+
+
+OUT_OF_RANGE = r"^users\[0\]\.device\.step_slope: 1e\+308 puts the model of user 0 out of"
+
+
+@pytest.fixture(scope="module")
+def five_user_policy():
+    source = ScenarioSource(scope="specific", generator=GeneratorConfig(user_count=5),
+                            edge=default_edge(), pai=PaiParams(), seed=1)
+    return train(source, TrainHyper(episodes=1), seed=1).policy
+
+
+@pytest.mark.parametrize("name", SOLVER_NAMES)
+def test_every_solver_rejects_an_in_memory_scenario_out_of_range(five_user_policy, name):
+    # oracle, b1, ga and exhaustive used to end in an IndexError and bnb in an
+    # AssertionError; b2, b3 and dqn returned a decision, warning of overflow.
+    with pytest.raises(ValidationError, match=OUT_OF_RANGE):
+        solve(name, every_device_at_1e308(), seed=0, policy=five_user_policy)
+
+
+def test_a_fixed_training_scenario_out_of_range_is_rejected():
+    # Training on it used to return episode returns of -inf.
+    with pytest.raises(ValidationError, match=OUT_OF_RANGE):
+        ScenarioSource(scope="specific", generator=GeneratorConfig(user_count=5),
+                       edge=default_edge(), pai=PaiParams(), seed=1,
+                       fixed_scenario=every_device_at_1e308())

@@ -12,8 +12,10 @@ drop users, the oracle is checked against the per-m sort reference, and
 the pre-pass must keep every user who can enter a top-m set. A user's gain
 never grows with the grant count, which the pre-pass rests on. A scenario
 file with one number set to an extreme finite value is either rejected or
-solved by every solver with a finite objective. The draws are
-derandomized, so that every run sees the same ones.
+solved by every solver with a finite objective. The cheap range bound that
+`Scenario.model` tests first passes only scenarios that the exact corner
+evaluation passes. The draws are derandomized, so that every run sees the
+same ones.
 """
 
 import json
@@ -41,12 +43,16 @@ from diffload.baselines import (
     solve_ga,
     _oracle_candidates,
 )
-from diffload.costmodel import CostModel
+from diffload.costmodel import RANGE_BOUND, CostModel, corner_magnitudes, range_bound
 from diffload.dqn import ScenarioSource, TrainHyper, greedy_solve, train
 from diffload.qoe import objective, validate_decision
 from diffload.scenario import (
+    DeviceProfile,
+    EdgeConfig,
     GeneratorConfig,
     PaiParams,
+    Scenario,
+    UserRequest,
     ValidationError,
     default_edge,
     generate_scenario,
@@ -300,3 +306,57 @@ def test_one_extreme_number_is_rejected_or_every_solver_stays_finite(scenario_pa
     for name, solve in SOLVERS.items():
         value = objective(scenario, solve(scenario, rng=np.random.default_rng(0)))
         assert math.isfinite(value), (path, name, value)
+
+
+def log_uniform(low_exponent):
+    """Floats drawn log-uniform from 10**low_exponent to 1e308."""
+    return st.floats(low_exponent, 308).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def devices(draw):
+    return DeviceProfile("drawn", step_slope=draw(log_uniform(-12)),
+                         step_intercept=draw(log_uniform(-12)))
+
+
+@st.composite
+def wide_range_scenarios(draw):
+    """1 to 6 users whose every latency and weight field is drawn log-uniform
+    up to 1e308, the bandwidth and spectral efficiency down to 1e-308."""
+    users = draw(st.integers(1, 6))
+    edge = EdgeConfig(gpus=draw(st.integers(1, 16)), device=draw(devices()),
+                      b_max=draw(st.integers(0, users)), slots_per_interval=100,
+                      slot_duration=draw(log_uniform(-12)),
+                      bandwidth_hz=draw(log_uniform(-308)),
+                      spectral_efficiency=draw(log_uniform(-308)))
+    return Scenario(users=[UserRequest(id=i, device=draw(devices()),
+                                       alpha=draw(log_uniform(-12)),
+                                       request_slot=draw(st.integers(1, 100)),
+                                       prompt_bits=draw(log_uniform(-12)),
+                                       intermediate_bits=draw(log_uniform(-12)))
+                           for i in range(users)],
+                    edge=edge, pai=PaiParams(), seed=0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(wide_range_scenarios())
+def test_the_range_bound_passes_only_what_the_exact_check_passes(scenario):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        model = CostModel.from_scenario(scenario)
+        bound = range_bound(model, scenario.cap)
+        exact = np.isfinite(corner_magnitudes(model, scenario.cap).sum())
+    assert exact or not bound < RANGE_BOUND
+    try:
+        scenario.model
+    except ValidationError:
+        assert not exact
+    else:
+        assert exact
+
+
+def test_the_range_bound_passes_generated_scenarios():
+    # The exact check runs only where the bound fails, which no generated
+    # scenario of the default catalog and edge does.
+    for seed, users, gpus, b_max in [(1, 1, 1, 0), (2, 60, 2, 16), (3, 1000, 8, 64)]:
+        scenario = scenario_of(users, b_max, gpus, seed)
+        assert range_bound(scenario.model, scenario.cap) < RANGE_BOUND
