@@ -15,10 +15,11 @@ performs that fold and :func:`eval_quadratic` evaluates either form.
 The form is a view of the scenario's cost model
 (:attr:`diffload.scenario.Scenario.model`): D is the model's deny value
 and its grant value with no grant-count terms, and the coupling of user i
-is the part of its latency that grows by one share per granted user. No solver uses it; branch and bound reads the fixed-split
-values from the cost model directly. The form stays the cross-check of the
-direct scalar objective (acceptance criterion 2), since it sums the model
-in a different shape.
+is the part of its latency that grows by one share per granted user. No
+solver uses it; branch and bound reads the fixed-split values from the
+cost model directly. The form stays the cross-check of the direct scalar
+objective (acceptance criterion 2), since it sums the model in a
+different shape.
 """
 
 from __future__ import annotations
