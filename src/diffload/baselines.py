@@ -20,6 +20,7 @@ import numpy as np
 from .costmodel import CostModel, SplitTable, decision_of, sequential_sum
 from .env import processing_order
 from .qoe import Decision, all_local_decision
+from .quadratic import DENY, GRANT, build_quadratic
 from .scenario import Scenario, ValidationError
 
 
@@ -171,29 +172,34 @@ class BnbStats:
 def solve_bnb(scenario: Scenario, stats: BnbStats | None = None) -> Decision:
     """Exact maximizer of the fixed-split assignment via depth-first search.
 
-    Splits are pinned at n_min for granted users. Users are decided in
-    processing order, a grant before a denial. A node's committed value sums
-    its decided users left to right, granted users at the node's grant count
-    g (at g = 0 no one is granted). A denial child adds its user's deny value
-    to its parent's committed value; a grant child changes g and so re-sums
-    its prefix. Both give the same bits as summing the prefix afresh.
+    The search runs on the paper's quadratic form of the problem
+    (:func:`diffload.quadratic.build_quadratic`), with splits pinned at
+    n_min for granted users. Users are decided in processing order, a grant
+    before a denial. A node carries two sums over its decided users: `picked`,
+    each one's linear term (its deny value, or its grant value at no grants),
+    and `shares`, the couplings of the granted ones. At g grants it is worth
+    ``picked - g * shares``, so either child adds its user's terms to the two
+    sums.
 
-    The bound of a node adds to its committed value each undecided user's
-    better of denial and a grant at g + 1 (denial once g is at the cap). It
-    is optimistic because the granted value does not increase with the grant
-    count. Every child counts as a node in `stats`, but the search descends
-    only into a child whose bound beats the incumbent (Land & Doig 1960), so
-    a pruned child is checked in its parent and costs no call.
+    The bound of a node adds to its value each undecided user's better of
+    denial and a grant at g + 1 (denial once g is at the cap). It is
+    optimistic because no coupling is negative, so a granted value does not
+    increase with the grant count. Every child counts as a node in
+    `stats`, but the search descends only into a child whose bound beats the
+    incumbent (Land & Doig 1960), so a pruned child is checked in its parent
+    and costs no call.
     """
     stats = stats if stats is not None else BnbStats()
     n = scenario.user_count
     order = np.asarray(processing_order(scenario), dtype=np.intp)
     cap = scenario.cap
-    # deny[i] and grant[i, m - 1]: user i's value denied and granted at n_min in
-    # a round of m grants, users in processing order.
-    model = scenario.model
-    deny = model.denied()[order]
-    grant = model.granted(scenario.pai.n_min, np.arange(1, cap + 1)).T[order]
+    # Each user's deny value, grant value at no grants and coupling, in
+    # processing order.
+    form = build_quadratic(scenario, scenario.pai.n_min)
+    deny, base = form.linear[order, DENY], form.linear[order, GRANT]
+    coupling = form.coupling[order]
+    # grant[i, m - 1]: user i's value granted in a round of m grants.
+    grant = base[:, None] - np.arange(1, cap + 1) * coupling[:, None]
 
     # tails[depth][g]: the optimistic completion of users depth.. at g grants,
     # each column summed from the last user back. Column g < cap lets every
@@ -204,37 +210,39 @@ def solve_bnb(scenario: Scenario, stats: BnbStats | None = None) -> Decision:
 
     # The search reads single entries, which Python lists serve far faster
     # than numpy scalars; the float arithmetic is the same.
-    d, g, tails = deny.tolist(), grant.tolist(), tails.tolist()
+    d, b, c, tails = deny.tolist(), base.tolist(), coupling.tolist(), tails.tolist()
 
     best_value = float("-inf")
     best_grants: list[bool] | None = None
     chosen = [False] * n
     nodes = 1  # the root, whose bound always beats -inf
 
-    def expand(depth: int, count: int, committed: float) -> None:
+    def expand(depth: int, count: int, picked: float, shares: float) -> None:
         """Visit both children of a node at `depth` with `count` grants."""
         nonlocal best_value, best_grants, nodes
         child = depth + 1
         if count < cap:
             chosen[depth] = True
-            value = sum(g[i][count] if chosen[i] else d[i] for i in range(child))
+            granted_picked, granted_shares = picked + b[depth], shares + c[depth]
+            value = granted_picked - (count + 1) * granted_shares
             nodes += 1
             if child == n:
                 if value > best_value:
                     best_value, best_grants = value, chosen.copy()
             elif value + tails[child][count + 1] > best_value:
-                expand(child, count + 1, value)
+                expand(child, count + 1, granted_picked, granted_shares)
             chosen[depth] = False
-        value = committed + d[depth]
+        picked += d[depth]
+        value = picked - count * shares
         nodes += 1
         if child == n:
             if value > best_value:
                 best_value, best_grants = value, chosen.copy()
         elif value + tails[child][count] > best_value:
-            expand(child, count, value)
+            expand(child, count, picked, shares)
 
     if n:
-        expand(0, 0, 0.0)
+        expand(0, 0, 0.0, 0.0)
     else:
         best_value, best_grants = 0.0, []
     stats.nodes += nodes

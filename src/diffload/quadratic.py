@@ -15,11 +15,11 @@ performs that fold and :func:`eval_quadratic` evaluates either form.
 The form is a view of the scenario's cost model
 (:attr:`diffload.scenario.Scenario.model`): D is the model's deny value
 and its grant value with no grant-count terms, and the coupling of user i
-is the part of its latency that grows by one share per granted user. No
-solver uses it; branch and bound reads the fixed-split values from the
-cost model directly. The form stays the cross-check of the direct scalar
-objective (acceptance criterion 2), since it sums the model in a
-different shape.
+is the part of its latency that grows by one share per granted user. It
+is the one source of fixed-split values: branch and bound
+(:func:`diffload.baselines.solve_bnb`) searches this form at n_min, and
+acceptance criterion 2 checks it against the direct scalar objective,
+which sums the model in a different shape.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ GRANT = 1
 class QuadraticForm:
     linear: np.ndarray    # (I, 2): D[i, j], or the folded diagonal A[i, j, i, j]
     coupling: np.ndarray  # (I,): c[i], the grant-grant coupling of user i
-    fixed_split: int
     absorbed: bool = False
 
 
@@ -60,7 +59,7 @@ def build_quadratic(scenario: Scenario, fixed_split: int) -> QuadraticForm:
     # accrue once per granted user i' (including i' = i).
     coupling = (model.payload / (edge.spectral_efficiency * edge.bandwidth_hz)
                 + (pai.n_total - fixed_split) * edge.device.step_slope / edge.gpus)
-    return QuadraticForm(linear=linear, coupling=coupling, fixed_split=fixed_split)
+    return QuadraticForm(linear=linear, coupling=coupling)
 
 
 def absorb_linear(qf: QuadraticForm) -> QuadraticForm:
@@ -69,8 +68,7 @@ def absorb_linear(qf: QuadraticForm) -> QuadraticForm:
         raise ContractError("quadratic form already absorbed")
     diagonal = qf.linear.copy()
     diagonal[:, GRANT] -= qf.coupling
-    return QuadraticForm(linear=diagonal, coupling=qf.coupling.copy(),
-                         fixed_split=qf.fixed_split, absorbed=True)
+    return QuadraticForm(linear=diagonal, coupling=qf.coupling.copy(), absorbed=True)
 
 
 def eval_quadratic(qf: QuadraticForm, grants) -> float:

@@ -119,9 +119,12 @@ def solve(name: str, scenario: Scenario, seed: int,
     """Run solver `name` of `SOLVER_NAMES`: the GA draws from `seed`, dqn runs `policy`.
 
     The scenario's model is read first, so a scenario out of floating-point
-    range raises its `ValidationError` (`Scenario.model`) under every name."""
+    range raises its `ValidationError` (`Scenario.model`) under every name.
+    dqn without a policy raises a `ValidationError` too."""
     scenario.model  # builds and checks the model
     if name == "dqn":
+        if policy is None:
+            raise ValidationError("solvers: dqn requires a policy")
         return greedy_solve(policy, scenario)
     return baselines.SOLVERS[name](scenario, rng=seed)
 

@@ -216,20 +216,20 @@ def test_bnb_node_count_grows_with_users():
 
 
 def test_bnb_search_is_pinned_on_desk_scenarios():
-    # Nodes, incumbent and denied users as the depth-first search has always
-    # given them, keyed by (seed, users, b_max): five 20-user desk scenarios,
-    # then a cap of one, a cap equal to the user count, a single user, and a
-    # cap of six reached at the twelfth user in processing order.
+    # Nodes, incumbent and denied users of the depth-first search on the
+    # quadratic form, keyed by (seed, users, b_max): five 20-user desk
+    # scenarios, then a cap of one, a cap equal to the user count, a single
+    # user, and a cap of six reached at the twelfth user in processing order.
     expected = {
-        (5000, 20, 16): (6623, 55.64651283035301, {5, 9, 14, 16}),
-        (5001, 20, 16): (7948, 55.28536679064953, {5, 11, 13, 19}),
-        (5002, 20, 16): (11540, 27.379200706726884, {3, 6, 11, 18}),
-        (5003, 20, 16): (5722, -38.316010563514936, {8, 14, 18, 19}),
-        (5004, 20, 16): (10920, 141.07591485086527, {10, 11, 12, 15}),
-        (5100, 20, 1): (90, -247.5846776525045, set(range(20)) - {7}),
-        (5101, 12, 12): (163, 98.6937305605877, {8}),
-        (5102, 1, 16): (3, 12.8901538387994, set()),
-        (5104, 20, 6): (8904, -112.73676252552957,
+        (5000, 20, 16): (6623, 55.64651283035309, {5, 9, 14, 16}),
+        (5001, 20, 16): (7948, 55.28536679064956, {5, 11, 13, 19}),
+        (5002, 20, 16): (11540, 27.379200706726834, {3, 6, 11, 18}),
+        (5003, 20, 16): (5722, -38.31601056351495, {8, 14, 18, 19}),
+        (5004, 20, 16): (10920, 141.0759148508652, {10, 11, 12, 15}),
+        (5100, 20, 1): (90, -247.58467765250452, set(range(20)) - {7}),
+        (5101, 12, 12): (163, 98.69373056058768, {8}),
+        (5102, 1, 16): (3, 12.890153838799396, set()),
+        (5104, 20, 6): (8904, -112.73676252552954,
                         {0, 1, 2, 4, 6, 7, 8, 10, 11, 12, 13, 15, 16, 18}),
     }
     for (seed, users, b_max), (nodes, incumbent, denied) in expected.items():

@@ -11,8 +11,10 @@ import diffload
 from diffload.cli import main
 from diffload.dqn import QNetwork, TrainedPolicy, save_policy
 from diffload.qoe import fitted_pai, objective
-from diffload.scenario import load_scenario
-from diffload.sweep import REPORT_HEADER, ReportRow, read_report, summarize, write_report
+from diffload.scenario import (GeneratorConfig, ValidationError, default_edge, generate_scenario,
+                               load_scenario)
+from diffload.sweep import (REPORT_HEADER, ReportRow, read_report, solve, summarize,
+                            write_report)
 
 
 def run(argv):
@@ -635,6 +637,12 @@ def test_sweep_solve_alone_turns_a_solver_name_into_a_decision():
             elif isinstance(node, ast.Call) and _name(node.func) == "greedy_solve":
                 found.append(f"{module}:{node.lineno} calls greedy_solve")
     assert found == []
+
+
+def test_sweep_solve_refuses_dqn_without_a_policy():
+    scenario = generate_scenario(1, GeneratorConfig(user_count=3), default_edge())
+    with pytest.raises(ValidationError, match="^solvers: dqn requires a policy$"):
+        solve("dqn", scenario, seed=0)
 
 
 # -- sweep / plot -----------------------------------------------------------------

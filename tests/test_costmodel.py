@@ -363,7 +363,8 @@ def test_accuracy_table_is_shared_and_read_only():
 # Each guarded function and the modules allowed to call it. Every other module
 # reads the scalar model through the cost model. The grids `optimal_splits`
 # returns are workspace views that the next call overwrites, so a new caller
-# needs a review of how long it holds them.
+# needs a review of how long it holds them. Solvers read fixed-split values
+# through the quadratic form (`quadratic.build_quadratic`), not `granted`.
 ALLOWED_CALLERS = {
     "e2e_latency": {"qoe.py", "split.py"},
     "user_qoe": {"qoe.py", "split.py"},
@@ -372,6 +373,7 @@ ALLOWED_CALLERS = {
     "marginal_pai_rate": {"scenario.py", "costmodel.py", "split.py"},
     "stationary_point": {"scenario.py", "costmodel.py", "split.py"},
     "optimal_splits": {"costmodel.py", "baselines.py", "env.py"},
+    "granted": {"costmodel.py", "quadratic.py"},
 }
 
 
